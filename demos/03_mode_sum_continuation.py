@@ -9,7 +9,6 @@ u = 0.  This script checks each link of that chain numerically.
 from zetacasimir import (
     EvalPoint,
     PlateConfig,
-    Region,
     continuation_at_zero,
     mode_sum_bruteforce,
     radial_integral_oracle,
@@ -17,7 +16,7 @@ from zetacasimir import (
 )
 from zetacasimir.extrapolate import richardson_even
 
-cfg = PlateConfig(a=1.0, xi=0.0, region=Region.BETWEEN)
+cfg = PlateConfig(a=1.0, xi=0.0)
 p = EvalPoint(0.3)
 
 print("=== convergent regime: brute force vs closed form (u = 5) ===")

@@ -10,7 +10,6 @@ import math
 from zetacasimir import (
     EvalPoint,
     PlateConfig,
-    Region,
     coefficient_B,
     milton_B,
     pressure,
@@ -22,7 +21,7 @@ from zetacasimir import (
 a = 1.0
 
 print("=== tensor profile between the plates (xi = 0) ===")
-cfg = PlateConfig(a=a, xi=0.0, region=Region.BETWEEN)
+cfg = PlateConfig(a=a, xi=0.0)
 print("x3      t00            t11            t33")
 for j in range(1, 10):
     t = tensor_between_plates(cfg, EvalPoint(0.1 * j))
@@ -43,13 +42,11 @@ print(f"trigonometric vs Hurwitz-zeta route, max rel diff over 99 points: "
 
 print()
 print("=== conformal coupling xi = 1/6 ===")
-conf = PlateConfig(a=a, xi=1.0 / 6.0, region=Region.BETWEEN)
+conf = PlateConfig(a=a, xi=1.0 / 6.0)
 t = tensor_between_plates(conf, EvalPoint(0.123))
 print(f"tensor diag = ({t.t00:+.6e}, {t.t11:+.6e}, {t.t22:+.6e}, {t.t33:+.6e})")
 print(f"trace = {t.trace():.3e} (vanishes); components are x3-independent")
-outer = tensor_outside(
-    PlateConfig(a=a, xi=1.0 / 6.0, region=Region.LEFT_OUTSIDE), EvalPoint(-0.5)
-)
+outer = tensor_outside(conf, EvalPoint(-0.5))
 print(f"outside the plates the conformal tensor is exactly {outer.as_tuple()}")
 
 print()

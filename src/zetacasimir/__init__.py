@@ -39,11 +39,11 @@ from .modesum import (
     PlateConfig,
     Region,
     RegularizedCoefficients,
-    RegulatorU,
     TensorDiag,
     continuation_at_zero,
     mode_sum_bruteforce,
     radial_integral_oracle,
+    region_of,
     regularized_coefficients,
     regularized_vev,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "QuadratureError",
     "Region",
     "RegularizedCoefficients",
-    "RegulatorU",
     "RenormalizedCoefficients",
     "TensorDiag",
     "ZetaCasimirError",
@@ -91,6 +90,7 @@ __all__ = [
     "polylog_series",
     "pressure",
     "radial_integral_oracle",
+    "region_of",
     "regularized_coefficients",
     "regularized_vev",
     "renormalized_coefficients",

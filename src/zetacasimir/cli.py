@@ -26,11 +26,11 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .casimir import milton_B, pressure, renormalized_coefficients, tensor_between_plates, tensor_outside
+from .casimir import milton_B, pressure, renormalized_coefficients, tensor_outside
 from .errors import ConvergenceError, DomainError, QuadratureError, ZetaCasimirError
 from .gammafn import gamma
 from .hurwitz import hurwitz_zeta, polygamma
-from .modesum import EvalPoint, PlateConfig, Region, mode_sum_bruteforce, regularized_vev
+from .modesum import EvalPoint, PlateConfig, Region, mode_sum_bruteforce, region_of, regularized_vev
 from .polylog import polylog, riemann_zeta
 
 EXIT_OK = 0
@@ -59,6 +59,10 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_optional(x: Optional[float]) -> str:
+    return "" if x is None else fmt(x)
+
+
 def _fmt_complex(v: complex) -> str:
     v = complex(v)
     if v.imag == 0.0:
@@ -73,14 +77,34 @@ def _parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse complex number {text!r}") from exc
 
 
-def _region_for(x3: float, a: float) -> Region:
-    if x3 < 0.0:
-        return Region.LEFT_OUTSIDE
-    if x3 > a:
-        return Region.RIGHT_OUTSIDE
-    if 0.0 < x3 < a:
-        return Region.BETWEEN
-    raise DomainError(f"x3 = {x3} lies exactly on a plate")
+def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[str, Any]:
+    """Region, tensor, B and milton_B at one point; B and milton_B are
+    None outside the plates, and a point on a plate is a validation error."""
+    region = region_of(a, x3)
+    if region is not Region.BETWEEN and not include_outside:
+        raise DomainError(
+            f"grid point x3 = {x3} is outside the plates; pass "
+            "--include-outside to allow it"
+        )
+    cfg, p = PlateConfig(a=a, xi=xi), EvalPoint(x3)
+    b: Optional[float] = None
+    mb: Optional[float] = None
+    if region is Region.BETWEEN:
+        coeffs = renormalized_coefficients(cfg, p)
+        t = coeffs.tensor(xi)
+        b, mb = coeffs.B, milton_B(cfg, p)
+    else:
+        t = tensor_outside(cfg, p)
+    return {
+        "x3": x3,
+        "region": region.value,
+        "t00": complex(t.t00).real,
+        "t11": complex(t.t11).real,
+        "t22": complex(t.t22).real,
+        "t33": complex(t.t33).real,
+        "B": b,
+        "milton_B": mb,
+    }
 
 
 # ----------------------------- subcommands -----------------------------
@@ -114,23 +138,12 @@ def _cmd_specfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
-    region = _region_for(args.x3, args.a)
-    cfg = PlateConfig(a=args.a, xi=args.xi, region=region)
-    p = EvalPoint(args.x3)
-    if region is Region.BETWEEN:
-        t = tensor_between_plates(cfg, p)
-        coeffs = renormalized_coefficients(cfg, p)
-        extra = (
-            f"B={fmt(coeffs.B)} milton_B={fmt(milton_B(cfg, p))}"
-        )
-    else:
-        t = tensor_outside(cfg, p)
-        extra = "B= milton_B="
-    p0, _ = pressure(cfg)
-    print(f"region={region.value}")
-    for name, v in zip(("t00", "t11", "t22", "t33"), t.as_tuple()):
-        print(f"{name}={fmt(complex(v).real)}")
-    print(extra)
+    row = _point_row(args.a, args.xi, args.x3, include_outside=True)
+    p0, _ = pressure(PlateConfig(a=args.a))
+    print(f"region={row['region']}")
+    for name in ("t00", "t11", "t22", "t33"):
+        print(f"{name}={fmt(row[name])}")
+    print(f"B={_fmt_optional(row['B'])} milton_B={_fmt_optional(row['milton_B'])}")
     print(f"pressure_magnitude={fmt(abs(p0.p3))}")
     return EXIT_OK
 
@@ -145,36 +158,7 @@ def _profile_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     else:
         step = (args.x3_max - args.x3_min) / (args.n_points - 1)
         grid = [args.x3_min + i * step for i in range(args.n_points)]
-    rows = []
-    for x3 in sorted(grid):
-        region = _region_for(x3, args.a)  # plate hits are a validation error
-        if region is not Region.BETWEEN and not args.include_outside:
-            raise DomainError(
-                f"grid point x3 = {x3} is outside the plates; pass "
-                "--include-outside to allow it"
-            )
-        cfg = PlateConfig(a=args.a, xi=args.xi, region=region)
-        p = EvalPoint(x3)
-        if region is Region.BETWEEN:
-            t = tensor_between_plates(cfg, p)
-            b: Optional[float] = renormalized_coefficients(cfg, p).B
-            mb: Optional[float] = milton_B(cfg, p)
-        else:
-            t = tensor_outside(cfg, p)
-            b = mb = None
-        rows.append(
-            {
-                "x3": x3,
-                "region": region.value,
-                "t00": complex(t.t00).real,
-                "t11": complex(t.t11).real,
-                "t22": complex(t.t22).real,
-                "t33": complex(t.t33).real,
-                "B": b,
-                "milton_B": mb,
-            }
-        )
-    return rows
+    return [_point_row(args.a, args.xi, x3, args.include_outside) for x3 in sorted(grid)]
 
 
 _CSV_FIELDS = ["x3", "region", "t00", "t11", "t22", "t33", "B", "milton_B"]
@@ -197,8 +181,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                             fmt(row["t11"]),
                             fmt(row["t22"]),
                             fmt(row["t33"]),
-                            "" if row["B"] is None else fmt(row["B"]),
-                            "" if row["milton_B"] is None else fmt(row["milton_B"]),
+                            _fmt_optional(row["B"]),
+                            _fmt_optional(row["milton_B"]),
                         ]
                     )
         else:
@@ -232,10 +216,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     u = _parse_complex(args.u)
     if u.real <= 4.0:
         raise DomainError(f"convergence study requires Re u > 4, got {args.u}")
-    region = _region_for(args.x3, args.a)
-    if region is not Region.BETWEEN:
-        raise DomainError("convergence study needs a point between the plates")
-    cfg = PlateConfig(a=args.a, xi=args.xi, region=region)
+    cfg = PlateConfig(a=args.a, xi=args.xi)
     p = EvalPoint(args.x3)
     closed = regularized_vev(u, cfg, p)
     print("L bruteforce_t00 closed_t00 difference tail_bound status")

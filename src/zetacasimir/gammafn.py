@@ -59,11 +59,3 @@ def gamma(s: complex) -> complex:
         acc += _LANCZOS_COEFFS[k] / (x + k)
     t = x + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
-
-
-def recip_gamma(s: complex) -> complex:
-    """1/Gamma(s); entire, so zero at the poles of Gamma."""
-    s = complex(s)
-    if is_nonpositive_integer(s):
-        return 0.0 + 0.0j
-    return 1.0 / gamma(s)

@@ -1,4 +1,4 @@
-"""Keyhole ("Hankel") contour quadrature for analytic continuation.
+r"""Keyhole ("Hankel") contour quadrature for analytic continuation.
 
 The contour starts at t = T (+ i*offset) on the positive real axis,
 runs inward to a circle of radius r around the origin, turns once
@@ -273,7 +273,7 @@ def hankel_recip_gamma_check(
     contour: HankelContour | None = None,
     tol: float = 1e-8,
 ) -> HankelResult:
-    """-(1/(2 pi i)) \int_H (-t)^(s-1) e^(-l t) dt.
+    r"""-(1/(2 pi i)) \int_H (-t)^(s-1) e^(-l t) dt.
 
     Exists purely to validate the contour machinery: the value must equal
     1/(Gamma(1-s) l^s) within the quadrature tolerance.

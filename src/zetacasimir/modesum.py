@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BranchError, DomainError, PoleError, QuadratureError
 from .polylog import polylog, riemann_zeta
@@ -41,24 +40,24 @@ class Region(enum.Enum):
     RIGHT_OUTSIDE = "right"
 
 
-@dataclass(frozen=True)
-class RegulatorU:
-    """Complex regulator; the deformed mode sum converges for Re u > 4."""
-
-    u: complex
-
-    @property
-    def convergent(self) -> bool:
-        return complex(self.u).real > 4.0
+def region_of(a: float, x3: float) -> Region:
+    """Region of the point x3 for plates at 0 and a; a point on a plate
+    (or NaN) belongs to none and raises DomainError."""
+    if x3 < 0.0:
+        return Region.LEFT_OUTSIDE
+    if x3 > a:
+        return Region.RIGHT_OUTSIDE
+    if 0.0 < x3 < a:
+        return Region.BETWEEN
+    raise DomainError(f"x3 = {x3} lies exactly on a plate")
 
 
 @dataclass(frozen=True)
 class PlateConfig:
-    """Plate separation a, curvature coupling xi and spatial region."""
+    """Plate separation a and curvature coupling xi."""
 
     a: float
     xi: float = 0.0
-    region: Region = Region.BETWEEN
 
     def __post_init__(self) -> None:
         if self.a <= 0.0:
@@ -70,18 +69,6 @@ class EvalPoint:
     """Coordinate x3 along the plate normal."""
 
     x3: float
-
-    def check_region(self, cfg: PlateConfig) -> None:
-        ok = {
-            Region.BETWEEN: 0.0 < self.x3 < cfg.a,
-            Region.LEFT_OUTSIDE: self.x3 < 0.0,
-            Region.RIGHT_OUTSIDE: self.x3 > cfg.a,
-        }[cfg.region]
-        if not ok:
-            raise DomainError(
-                f"x3 = {self.x3} is inconsistent with region {cfg.region.value} "
-                f"for a = {cfg.a}"
-            )
 
 
 @dataclass(frozen=True)
@@ -135,44 +122,48 @@ def _weights(u: complex, xi: float) -> tuple[tuple[complex, ...], tuple[complex,
 
 
 def regularized_coefficients(
-    u: RegulatorU | complex, cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
+    u: complex, cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
 ) -> RegularizedCoefficients:
-    """A_u and B_u(x3), valid wherever the continued constituents exist."""
-    uu = complex(u.u if isinstance(u, RegulatorU) else u)
-    if cfg.region is not Region.BETWEEN:
-        raise DomainError("regularized coefficients are defined between the plates")
-    p.check_region(cfg)
-    _check_u_poles(uu)
-    c = _prefactor(uu, cfg.a)
-    s = uu - 3.0
+    """A_u and B_u(x3) between the plates, valid wherever the continued
+    constituents exist; both are real at real u."""
+    u = complex(u)
+    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
+        raise DomainError(
+            f"x3 = {p.x3} is outside the plates; the regularized "
+            "coefficients are defined between them"
+        )
+    _check_u_poles(u)
+    c = _prefactor(u, cfg.a)
+    s = u - 3.0
     a_u = riemann_zeta(s, tol=tol) * c
     z = cmath.exp(2j * math.pi * p.x3 / cfg.a)
     b_u = (polylog(s, z, tol=tol) + polylog(s, z.conjugate(), tol=tol)) * c
-    if uu.imag == 0.0:
+    if u.imag == 0.0:
         # conjugate pair must be real; a large residue flags a branch bug
         scale = max(abs(b_u), 1.0)
         if abs(b_u.imag) > 1e-12 * scale:
             raise BranchError(
-                f"B_u imaginary residue {b_u.imag:.3e} at real u = {uu.real}"
+                f"B_u imaginary residue {b_u.imag:.3e} at real u = {u.real}"
             )
+        a_u = complex(a_u.real, 0.0)
         b_u = complex(b_u.real, 0.0)
     return RegularizedCoefficients(A_u=a_u, B_u=b_u)
 
 
 def regularized_vev(
-    u: RegulatorU | complex, cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
+    u: complex, cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
 ) -> TensorDiag:
     """Diagonal regulated VEV assembled from A_u, B_u and the two weight
     matrices."""
-    uu = complex(u.u if isinstance(u, RegulatorU) else u)
-    coeffs = regularized_coefficients(uu, cfg, p, tol=tol)
-    alpha, beta = _weights(uu, cfg.xi)
+    u = complex(u)
+    coeffs = regularized_coefficients(u, cfg, p, tol=tol)
+    alpha, beta = _weights(u, cfg.xi)
     comps = [al * coeffs.A_u + be * coeffs.B_u for al, be in zip(alpha, beta)]
     return TensorDiag(*comps)
 
 
 def mode_sum_bruteforce(
-    u: RegulatorU | complex,
+    u: complex,
     cfg: PlateConfig,
     p: EvalPoint,
     L: int,
@@ -184,12 +175,14 @@ def mode_sum_bruteforce(
     callback is invoked at chunk boundaries with (terms_done, L) and may
     raise to cancel the computation cooperatively.
     """
-    uu = complex(u.u if isinstance(u, RegulatorU) else u)
-    if uu.real <= 4.0:
-        raise DomainError(f"mode sum converges only for Re u > 4, got u = {uu}")
-    if cfg.region is not Region.BETWEEN:
-        raise DomainError("mode sum is defined between the plates")
-    p.check_region(cfg)
+    u = complex(u)
+    if u.real <= 4.0:
+        raise DomainError(f"mode sum converges only for Re u > 4, got u = {u}")
+    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
+        raise DomainError(
+            f"x3 = {p.x3} is outside the plates; the mode sum is defined "
+            "between them"
+        )
     if L < 1:
         raise DomainError("truncation order L must be >= 1")
 
@@ -200,19 +193,19 @@ def mode_sum_bruteforce(
     while done < L:
         hi = min(done + _BRUTE_CHUNK, L)
         ell = np.arange(done + 1, hi + 1, dtype=np.float64)
-        powers = np.exp((3.0 - uu) * np.log(ell))
+        powers = np.exp((3.0 - u) * np.log(ell))
         s1 += complex(np.sum(powers))
         s2 += complex(np.sum(2.0 * np.cos(phase * ell) * powers))
         done = hi
         if progress is not None:
             progress(done, L)
 
-    c = _prefactor(uu, cfg.a)
-    alpha, beta = _weights(uu, cfg.xi)
+    c = _prefactor(u, cfg.a)
+    alpha, beta = _weights(u, cfg.xi)
     comps = [c * (al * s1 + be * s2) for al, be in zip(alpha, beta)]
 
     # tail: sum_{l>L} l^(3-Re u) <= L^(4-Re u)/(Re u - 4); |cos| <= 1
-    envelope = L ** (4.0 - uu.real) / (uu.real - 4.0)
+    envelope = L ** (4.0 - u.real) / (u.real - 4.0)
     bounds = [
         abs(c) * (abs(al) + 2.0 * abs(be)) * envelope
         for al, be in zip(alpha, beta)
@@ -221,7 +214,7 @@ def mode_sum_bruteforce(
 
 
 def radial_integral_oracle(
-    u: RegulatorU | complex,
+    u: complex,
     cfg: PlateConfig,
     p: EvalPoint,
     L: int,
@@ -230,25 +223,24 @@ def radial_integral_oracle(
 ) -> complex:
     """Energy density t00 from the pre-integration (rho, theta) form.
 
-    Performs the radial improper integral numerically for each of the
-    first L transverse modes (the angular factor, integrated numerically
-    as well, is 2 pi exactly: the integrand carries no theta dependence).
-    Validates the analytic polar-coordinates step against
-    mode_sum_bruteforce.
+    Performs the radial improper integral numerically (QUADPACK) for each
+    of the first L transverse modes; the angular integral is the factor
+    2 pi, since the integrand carries no theta dependence.  Validates the
+    analytic polar-coordinates step against mode_sum_bruteforce.
     """
-    uu = complex(u.u if isinstance(u, RegulatorU) else u)
-    if uu.real <= 4.0:
-        raise DomainError(f"radial oracle requires Re u > 4, got u = {uu}")
-    if cfg.region is not Region.BETWEEN:
-        raise DomainError("radial oracle is defined between the plates")
-    p.check_region(cfg)
+    u = complex(u)
+    if u.real <= 4.0:
+        raise DomainError(f"radial oracle requires Re u > 4, got u = {u}")
+    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
+        raise DomainError(
+            f"x3 = {p.x3} is outside the plates; the radial oracle is "
+            "defined between them"
+        )
+    # scipy serves this oracle alone, so the package imports it only here
+    from scipy import integrate
 
     phase = 2.0 * math.pi * p.x3 / cfg.a
     xi = cfg.xi
-
-    theta_factor = integrate.trapezoid(
-        np.ones(513), np.linspace(0.0, 2.0 * math.pi, 513)
-    )
 
     total = 0.0 + 0.0j
     for ell in range(1, L + 1):
@@ -259,14 +251,14 @@ def radial_integral_oracle(
                 rho * rho + ell * ell
                 - (rho * rho + 4.0 * xi * ell * ell) * cos_phi
             )
-            val = base * (rho * rho + ell * ell) ** (-(uu + 1.0) / 2.0)
+            val = base * (rho * rho + ell * ell) ** (-(u + 1.0) / 2.0)
             return val.real if part == "re" else val.imag
 
         re_val, re_err = integrate.quad(
             integrand, 0.0, np.inf, args=("re",), epsabs=0.0, epsrel=tol,
             limit=200,
         )
-        if uu.imag != 0.0:
+        if u.imag != 0.0:
             im_val, im_err = integrate.quad(
                 integrand, 0.0, np.inf, args=("im",), epsabs=0.0, epsrel=tol,
                 limit=200,
@@ -284,10 +276,10 @@ def radial_integral_oracle(
             progress(ell, L)
 
     pref = 1.0 / (
-        8.0 * math.pi ** 2 * cmath.exp((uu - 3.0) * cmath.log(math.pi))
-        * cfg.a ** (4.0 - uu)
+        8.0 * math.pi ** 2 * cmath.exp((u - 3.0) * cmath.log(math.pi))
+        * cfg.a ** (4.0 - u)
     )
-    return pref * theta_factor * total
+    return pref * (2.0 * math.pi) * total
 
 
 def continuation_at_zero(

@@ -13,7 +13,6 @@ import pytest
 from zetacasimir import (
     EvalPoint,
     PlateConfig,
-    Region,
     coefficient_B,
     gamma,
     hankel_recip_gamma_check,
@@ -93,7 +92,7 @@ def test_criterion_05_mode_sum_oracle():
     worst_rel = 0.0
     for xi in (0.0, 1.0 / 6.0):
         for x3 in (0.25, 0.5):
-            cfg = PlateConfig(a=1.0, xi=xi, region=Region.BETWEEN)
+            cfg = PlateConfig(a=1.0, xi=xi)
             p = EvalPoint(x3)
             res = mode_sum_bruteforce(5.0, cfg, p, 10_000)
             closed = regularized_vev(5.0, cfg, p)
@@ -108,7 +107,7 @@ def test_criterion_05_mode_sum_oracle():
 
 
 def test_criterion_06_radial_quadrature_oracle():
-    cfg = PlateConfig(a=1.0, xi=0.0, region=Region.BETWEEN)
+    cfg = PlateConfig(a=1.0, xi=0.0)
     p = EvalPoint(0.5)
     val = radial_integral_oracle(5.0, cfg, p, 50)
     ref = mode_sum_bruteforce(5.0, cfg, p, 50).tensor.t00
@@ -121,7 +120,7 @@ def test_criterion_07_continuation_consistency():
     worst = 0.0
     for xi in (0.0, 1.0 / 6.0, 1.0):
         for x3 in (0.3, 0.5):
-            cfg = PlateConfig(a=1.0, xi=xi, region=Region.BETWEEN)
+            cfg = PlateConfig(a=1.0, xi=xi)
             p = EvalPoint(x3)
             closed = tensor_between_plates(cfg, p)
             for idx in range(4):
@@ -136,7 +135,7 @@ def test_criterion_07_continuation_consistency():
 
 
 def test_criterion_08_milton_equivalence():
-    cfg = PlateConfig(a=1.0, region=Region.BETWEEN)
+    cfg = PlateConfig(a=1.0)
     worst = 0.0
     for j in range(1, 100):
         p = EvalPoint(0.01 * j)
@@ -159,7 +158,7 @@ def test_criterion_09_pressure():
 
 
 def test_criterion_10_conformal_properties():
-    cfg = PlateConfig(a=1.0, xi=1.0 / 6.0, region=Region.BETWEEN)
+    cfg = PlateConfig(a=1.0, xi=1.0 / 6.0)
     ref = tensor_between_plates(cfg, EvalPoint(0.5))
     variation = 0.0
     trace_max = 0.0
@@ -171,7 +170,7 @@ def test_criterion_10_conformal_properties():
         )
         trace_max = max(trace_max, abs(t.trace()))
     outer = tensor_outside(
-        PlateConfig(a=1.0, xi=1.0 / 6.0, region=Region.LEFT_OUTSIDE), EvalPoint(-1.0)
+        PlateConfig(a=1.0, xi=1.0 / 6.0), EvalPoint(-1.0)
     )
     scale = abs(ref.t00)
     ok = (

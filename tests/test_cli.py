@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from zetacasimir import EvalPoint, PlateConfig, milton_B
 from zetacasimir.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -69,6 +70,16 @@ class TestTensor:
         assert code == EXIT_OK
         assert "region=left" in out
         assert "B= milton_B=" in out
+
+    @pytest.mark.parametrize("x3", ["1e-3", "1e-4"])
+    def test_near_plate_point(self, capsys, x3):
+        # within about 2.3e-3 a of a plate the cosine form of B cancels;
+        # the sine form used at runtime stays accurate there
+        code, out, _ = run(capsys, "tensor", "--a", "1", "--x3", x3)
+        assert code == EXIT_OK
+        fields = dict(part.split("=", 1) for part in out.split())
+        want = milton_B(PlateConfig(a=1.0), EvalPoint(float(x3)))
+        assert float(fields["B"]) == pytest.approx(want, rel=1e-12)
 
     def test_point_on_plate_rejected(self, capsys):
         code, _, err = run(capsys, "tensor", "--a", "1", "--x3", "0")

@@ -8,10 +8,10 @@ from zetacasimir import (
     PlateConfig,
     PoleError,
     Region,
-    RegulatorU,
     continuation_at_zero,
     mode_sum_bruteforce,
     radial_integral_oracle,
+    region_of,
     regularized_coefficients,
     regularized_vev,
 )
@@ -22,27 +22,32 @@ B_MID = math.pi**2 / 48.0
 
 
 def cfg_between(a=1.0, xi=0.0):
-    return PlateConfig(a=a, xi=xi, region=Region.BETWEEN)
+    return PlateConfig(a=a, xi=xi)
 
 
 class TestTypes:
-    def test_regulator_regime_tag(self):
-        assert RegulatorU(5.0).convergent
-        assert not RegulatorU(4.0).convergent
-        assert not RegulatorU(0.1 + 9j).convergent
-
     def test_plate_config_validation(self):
         with pytest.raises(DomainError):
             PlateConfig(a=-1.0)
 
-    def test_point_region_consistency(self):
-        EvalPoint(0.5).check_region(cfg_between())
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    def test_region_of(self, a):
+        assert region_of(a, -0.5) is Region.LEFT_OUTSIDE
+        assert region_of(a, a + 0.5) is Region.RIGHT_OUTSIDE
+        assert region_of(a, 0.5 * a) is Region.BETWEEN
+        # the nearest floats inside each plate are already between them
+        assert region_of(a, 5e-324) is Region.BETWEEN
+        assert region_of(a, math.nextafter(a, 0.0)) is Region.BETWEEN
+        for plate in (0.0, -0.0, a):
+            with pytest.raises(DomainError, match="lies exactly on a plate"):
+                region_of(a, plate)
+
+    @pytest.mark.parametrize("x3", [-0.5, 1.5, 0.0])
+    def test_between_only_functions_reject_other_points(self, x3):
         with pytest.raises(DomainError):
-            EvalPoint(1.5).check_region(cfg_between())
+            regularized_coefficients(0.5, cfg_between(), EvalPoint(x3))
         with pytest.raises(DomainError):
-            EvalPoint(0.5).check_region(
-                PlateConfig(a=1.0, region=Region.LEFT_OUTSIDE)
-            )
+            mode_sum_bruteforce(5.0, cfg_between(), EvalPoint(x3), 10)
 
 
 class TestRegularizedCoefficients:
@@ -71,6 +76,11 @@ class TestRegularizedCoefficients:
     def test_b_is_real_at_real_regulator(self):
         coeffs = regularized_coefficients(4.7, cfg_between(), EvalPoint(0.37))
         assert coeffs.B_u.imag == 0.0
+
+    @pytest.mark.parametrize("u", [5.0, 0.5, 2.0, -0.5])
+    def test_a_is_real_at_real_regulator(self, u):
+        coeffs = regularized_coefficients(u, cfg_between(), EvalPoint(0.37))
+        assert coeffs.A_u.imag == 0.0
 
 
 class TestRegularizedVev:
