@@ -51,8 +51,7 @@ print(f"outside the plates the conformal tensor is exactly {outer.as_tuple()}")
 
 print()
 print("=== single-plate limit ===")
-devs = single_plate_limit_check(PlateConfig(a=2000.0), EvalPoint(1.0),
-                                [10.0, 100.0, 1000.0])
+devs = single_plate_limit_check(EvalPoint(1.0), [10.0, 100.0, 1000.0])
 for sep, d in zip((10, 100, 1000), devs):
     print(f"a = {sep:5d}: |B * 16 pi^2 x3^4 - 1| = {d:.3e}")
 print("the deviation falls like a^-4 (leading term (pi x3/a)^4 / 45)")

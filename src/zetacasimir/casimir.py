@@ -20,8 +20,6 @@ from .errors import DomainError
 from .hurwitz import hurwitz_zeta
 from .modesum import EvalPoint, PlateConfig, Region, TensorDiag, region_of
 
-_MIN_PLATE_FRACTION = 1e-6  # below this x3/a the Hurwitz route degrades
-
 
 @dataclass(frozen=True)
 class RenormalizedCoefficients:
@@ -54,9 +52,14 @@ def coefficient_A(a: float) -> float:
 
 
 def coefficient_B(a: float, x3: float) -> float:
-    """Position-dependent coefficient, sine form."""
+    """Position-dependent coefficient, sine form; DomainError where B
+    overflows."""
     sin2 = math.sin(math.pi * x3 / a) ** 2
-    return math.pi**2 / (48.0 * a**4) * (3.0 - 2.0 * sin2) / sin2**2
+    sin4 = sin2**2
+    b = math.pi**2 / (48.0 * a**4) * (3.0 - 2.0 * sin2) / sin4 if sin4 else math.inf
+    if math.isinf(b):
+        raise DomainError(f"B overflows at x3/a = {x3 / a}")
+    return b
 
 
 def coefficient_B_cosine(a: float, x3: float) -> float:
@@ -79,31 +82,42 @@ def tensor_between_plates(cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
 
 def milton_B(cfg: PlateConfig, p: EvalPoint) -> float:
     """Hurwitz-zeta representation of B(x3); must coincide with the
-    trigonometric closed form."""
+    trigonometric closed form.  DomainError where zeta(4, q) or B
+    overflows."""
     if region_of(cfg.a, p.x3) is not Region.BETWEEN:
         raise DomainError(f"x3 = {p.x3} is outside the plates; B is defined between them")
     q = p.x3 / cfg.a
-    if q < _MIN_PLATE_FRACTION or 1.0 - q < _MIN_PLATE_FRACTION:
-        raise DomainError(
-            f"x3/a = {q} too close to a plate for the Hurwitz route"
-        )
-    z4 = hurwitz_zeta(4.0, q).real + hurwitz_zeta(4.0, 1.0 - q).real
-    return z4 / (16.0 * math.pi**2 * cfg.a**4)
+    try:
+        z4 = hurwitz_zeta(4.0, q).real + hurwitz_zeta(4.0, 1.0 - q).real
+    except (OverflowError, ZeroDivisionError):  # q^-4 is out of range
+        z4 = math.inf
+    b = z4 / (16.0 * math.pi**2 * cfg.a**4)
+    if math.isinf(b):
+        raise DomainError(f"B overflows at x3/a = {q}")
+    return b
 
 
 def tensor_outside(cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
-    """Tensor in the outer half-spaces; distance is to the adjacent plate."""
+    """Tensor in the outer half-spaces; distance is to the adjacent plate.
+
+    Far away the tensor underflows to +-0.0; DomainError where it
+    overflows next to a plate."""
     region = region_of(cfg.a, p.x3)
     if region is Region.BETWEEN:
         raise DomainError(f"x3 = {p.x3} lies between the plates, not outside them")
     dist = -p.x3 if region is Region.LEFT_OUTSIDE else p.x3 - cfg.a
-    w = (1.0 - 6.0 * cfg.xi) / (16.0 * math.pi**2 * dist**4)
+    try:
+        dist4 = dist**4
+    except OverflowError:  # far field: w underflows to 0.0 with the sign of 1 - 6 xi
+        dist4 = math.inf
+    den = 16.0 * math.pi**2 * dist4
+    w = (1.0 - 6.0 * cfg.xi) / den if den else math.inf
+    if math.isinf(w):
+        raise DomainError(f"the tensor overflows at distance {dist} from the plate")
     return TensorDiag(t00=-w, t11=w, t22=w, t33=0.0)
 
 
-def single_plate_limit_check(
-    cfg: PlateConfig, p: EvalPoint, a_sequence: list[float]
-) -> list[float]:
+def single_plate_limit_check(p: EvalPoint, a_sequence: list[float]) -> list[float]:
     """Deviation |B_a(x3) * 16 pi^2 x3^4 - 1| along an increasing sequence
     of separations; the leading correction is (pi x3/a)^4 / 45, so the
     deviation decays like a^-4."""

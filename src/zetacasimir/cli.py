@@ -30,7 +30,14 @@ from .casimir import milton_B, pressure, renormalized_coefficients, tensor_outsi
 from .errors import ConvergenceError, DomainError, QuadratureError, ZetaCasimirError
 from .gammafn import gamma
 from .hurwitz import hurwitz_zeta, polygamma
-from .modesum import EvalPoint, PlateConfig, Region, mode_sum_bruteforce, region_of, regularized_vev
+from .modesum import (
+    EvalPoint,
+    PlateConfig,
+    Region,
+    _bruteforce_results,
+    region_of,
+    regularized_vev,
+)
 from .polylog import polylog, riemann_zeta
 
 EXIT_OK = 0
@@ -219,10 +226,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = PlateConfig(a=args.a, xi=args.xi)
     p = EvalPoint(args.x3)
     closed = regularized_vev(u, cfg, p)
+    results = _bruteforce_results(u, cfg, p, args.L_list)
     print("L bruteforce_t00 closed_t00 difference tail_bound status")
     status_all = EXIT_OK
     for L in args.L_list:
-        res = mode_sum_bruteforce(u, cfg, p, L)
+        res = results[L]
         diff = abs(res.tensor.t00 - closed.t00)
         bound = abs(res.tail_bound.t00)
         ok = diff <= bound

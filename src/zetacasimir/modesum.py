@@ -31,7 +31,8 @@ from .polylog import polylog, riemann_zeta
 # Minkowski signature, fixed throughout; used for trace computation.
 METRIC_DIAG = (-1.0, 1.0, 1.0, 1.0)
 
-_BRUTE_CHUNK = 200_000
+_ROW = 1024  # terms per row of the brute-force angle-addition tables
+_CHUNK_ROWS = 128  # rows per brute-force chunk: 2^17 terms
 
 
 class Region(enum.Enum):
@@ -162,6 +163,120 @@ def regularized_vev(
     return TensorDiag(*comps)
 
 
+def _partial_mode_sums(
+    u: complex,
+    phase: float,
+    stops: list[int],
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> dict[int, tuple[complex, complex]]:
+    """Partial sums S1(L) = sum_{l<=L} l^(3-u) and
+    S2(L) = sum_{l<=L} 2 cos(l phase) l^(3-u) at every L in stops, from one
+    pass up to the largest.
+
+    The terms form rows of _ROW consecutive l, row r starting at
+    l0 = _ROW r + 1.  A matrix product with the tables [1, cos k phase,
+    sin k phase], k < _ROW, reduces every row at once, and angle addition
+    turns each row's table sums into its share of S2.  The rows are added
+    in order, and a row cut by a stop is reduced on its own, so S(L) has
+    the same bits whichever other stops share the pass.  The progress
+    callback runs after each chunk of _CHUNK_ROWS rows with (terms_done,
+    largest stop).
+    """
+    stops = sorted(set(stops))
+    if not stops:
+        return {}
+    last = stops[-1]
+    k = np.arange(_ROW, dtype=np.float64) * phase
+    tables = np.stack([np.ones(_ROW), np.cos(k), np.sin(k)], axis=1)
+    parts = 1 if u.imag == 0.0 else 2  # real and imaginary part of each term
+
+    def reduce(rows: np.ndarray) -> np.ndarray:
+        """Table sums (1, cos, sin) of each row, complex at complex u."""
+        sums = rows.reshape(-1, _ROW) @ tables
+        if parts == 1:
+            return sums
+        half = sums.shape[0] // 2
+        return sums[:half] - 1j * sums[half:]
+
+    def shares(sums: np.ndarray, cos0: np.ndarray, sin0: np.ndarray) -> np.ndarray:
+        """(S1, S2) shares of rows from their table sums and the cos and
+        sin of their start angles l0 phase."""
+        s2 = 2.0 * (cos0 * sums[..., 1] - sin0 * sums[..., 2])
+        return np.stack([sums[..., 0], s2], axis=-1)
+
+    out: dict[int, tuple[complex, complex]] = {}
+    acc = np.zeros(2, dtype=np.complex128)  # S1, S2 over the rows done
+    chunk = _ROW * _CHUNK_ROWS
+    # l^(3-u) = |l^(3-u)| (cos t - i sin t), t = Im u log l; the chunk's
+    # terms fill w[0] (and w[1] = |l^(3-u)| sin t at complex u)
+    w = np.empty((parts, _CHUNK_ROWS, _ROW))
+    flat = w.reshape(parts, -1)
+    for lo in range(0, last, chunk):
+        n = min(chunk, last - lo)
+        log_ell = np.log(np.arange(lo + 1, lo + n + 1, dtype=np.float64))
+        mag = flat[0, :n]
+        np.exp(np.multiply(log_ell, 3.0 - u.real, out=mag), out=mag)
+        if parts == 2:
+            log_ell *= u.imag
+            np.multiply(mag, np.sin(log_ell), out=flat[1, :n])
+            mag *= np.cos(log_ell)
+        # zero padding keeps every matrix product at one shape
+        flat[:, n:] = 0.0
+        l0 = (lo + 1 + _ROW * np.arange(_CHUNK_ROWS)) * phase
+        cos0, sin0 = np.cos(l0), np.sin(l0)
+        rows = shares(reduce(w), cos0, sin0)
+        prefix = np.cumsum(np.concatenate([acc[None, :], rows]), axis=0)
+        for stop in stops:
+            if not lo < stop <= lo + chunk:
+                continue
+            r, m = divmod(stop - lo, _ROW)
+            total = prefix[r]
+            if m:
+                cut = np.zeros((parts, 1, _ROW))
+                cut[:, 0, :m] = w[:, r, :m]
+                total = total + shares(reduce(cut)[0], cos0[r], sin0[r])
+            out[stop] = (complex(total[0]), complex(total[1]))
+        acc = prefix[-1]
+        if progress is not None:
+            progress(lo + n, last)
+    return out
+
+
+def _bruteforce_results(
+    u: complex,
+    cfg: PlateConfig,
+    p: EvalPoint,
+    stops: list[int],
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> dict[int, ModeSumResult]:
+    """mode_sum_bruteforce at every L in stops, from one pass."""
+    u = complex(u)
+    if u.real <= 4.0:
+        raise DomainError(f"mode sum converges only for Re u > 4, got u = {u}")
+    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
+        raise DomainError(
+            f"x3 = {p.x3} is outside the plates; the mode sum is defined "
+            "between them"
+        )
+    if any(L < 1 for L in stops):
+        raise DomainError("truncation order L must be >= 1")
+
+    phase = 2.0 * math.pi * p.x3 / cfg.a
+    c = _prefactor(u, cfg.a)
+    alpha, beta = _weights(u, cfg.xi)
+    results = {}
+    for L, (s1, s2) in _partial_mode_sums(u, phase, stops, progress).items():
+        comps = [c * (al * s1 + be * s2) for al, be in zip(alpha, beta)]
+        # tail: sum_{l>L} l^(3-Re u) <= L^(4-Re u)/(Re u - 4); |cos| <= 1
+        envelope = L ** (4.0 - u.real) / (u.real - 4.0)
+        bounds = [
+            abs(c) * (abs(al) + 2.0 * abs(be)) * envelope
+            for al, be in zip(alpha, beta)
+        ]
+        results[L] = ModeSumResult(TensorDiag(*comps), TensorDiag(*bounds))
+    return results
+
+
 def mode_sum_bruteforce(
     u: complex,
     cfg: PlateConfig,
@@ -175,42 +290,7 @@ def mode_sum_bruteforce(
     callback is invoked at chunk boundaries with (terms_done, L) and may
     raise to cancel the computation cooperatively.
     """
-    u = complex(u)
-    if u.real <= 4.0:
-        raise DomainError(f"mode sum converges only for Re u > 4, got u = {u}")
-    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
-        raise DomainError(
-            f"x3 = {p.x3} is outside the plates; the mode sum is defined "
-            "between them"
-        )
-    if L < 1:
-        raise DomainError("truncation order L must be >= 1")
-
-    phase = 2.0 * math.pi * p.x3 / cfg.a
-    s1 = 0.0 + 0.0j  # sum l^(3-u)
-    s2 = 0.0 + 0.0j  # sum 2 cos(l phase) l^(3-u)
-    done = 0
-    while done < L:
-        hi = min(done + _BRUTE_CHUNK, L)
-        ell = np.arange(done + 1, hi + 1, dtype=np.float64)
-        powers = np.exp((3.0 - u) * np.log(ell))
-        s1 += complex(np.sum(powers))
-        s2 += complex(np.sum(2.0 * np.cos(phase * ell) * powers))
-        done = hi
-        if progress is not None:
-            progress(done, L)
-
-    c = _prefactor(u, cfg.a)
-    alpha, beta = _weights(u, cfg.xi)
-    comps = [c * (al * s1 + be * s2) for al, be in zip(alpha, beta)]
-
-    # tail: sum_{l>L} l^(3-Re u) <= L^(4-Re u)/(Re u - 4); |cos| <= 1
-    envelope = L ** (4.0 - u.real) / (u.real - 4.0)
-    bounds = [
-        abs(c) * (abs(al) + 2.0 * abs(be)) * envelope
-        for al, be in zip(alpha, beta)
-    ]
-    return ModeSumResult(TensorDiag(*comps), TensorDiag(*bounds))
+    return _bruteforce_results(u, cfg, p, [L], progress)[L]
 
 
 def radial_integral_oracle(

@@ -11,7 +11,12 @@ Three evaluation routes are provided:
   contour quadrature, valid for any non-positive-integer order and the
   full closed disk.
 
-``polylog`` dispatches between them; ``riemann_zeta`` is Li_s(1).
+``polylog`` dispatches between them; ``riemann_zeta`` is Li_s(1).  Off
+z = 1 it takes the series only when the certified bound meets the
+tolerance within 16 384 terms (``_SERIES_BUDGET``); otherwise one Hankel
+pass, or at positive integer order a limit of four, is both faster and
+more accurate than a longer series.  At z = 1 the series is tried up to
+its term cap, and Hankel takes over where it cannot certify.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .gammafn import is_nonpositive_integer
 
 _SERIES_CHUNK = 4096
 _SERIES_MAX_TERMS = 4_000_000
+# Off z = 1, polylog takes the series only when it certifies within this
+# many terms; one Hankel pass costs less than a longer series.
+_SERIES_BUDGET = 16_384
 
 
 def series_domain(s: complex, z: complex) -> bool:
@@ -184,7 +192,9 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
             return polylog_hankel(s, z, tol=tol).value
         return polylog_neg_int(n, z)
 
-    if series_domain(s, z):
+    if series_domain(s, z) and (
+        z == 1.0 or _series_tail_bound(s, z, _SERIES_BUDGET) <= tol
+    ):
         try:
             return polylog_series(s, z, tol=tol)
         except ConvergenceError:

@@ -183,9 +183,7 @@ def test_criterion_10_conformal_properties():
 
 
 def test_criterion_11_single_plate_limit():
-    devs = single_plate_limit_check(
-        PlateConfig(a=2000.0), EvalPoint(1.0), [10.0, 100.0, 1000.0]
-    )
+    devs = single_plate_limit_check(EvalPoint(1.0), [10.0, 100.0, 1000.0])
     ratios = [devs[0] / devs[1], devs[1] / devs[2]]
     # leading correction is (pi x3/a)^4 / 45: decay is at least quadratic
     # per decade (in fact quartic)

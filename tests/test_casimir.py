@@ -69,9 +69,17 @@ class TestMiltonRoute:
             worst = max(worst, abs(alt - trig) / abs(trig))
         assert worst <= 1e-10
 
-    def test_guard_near_plate(self):
-        with pytest.raises(DomainError):
-            milton_B(cfg_between(), EvalPoint(1e-8))
+    def test_agrees_with_sine_form_near_plate(self):
+        for x3 in (1e-7, 1e-8, 1e-12):
+            p = EvalPoint(x3)
+            trig = coefficient_B(1.0, x3)
+            assert abs(milton_B(cfg_between(), p) - trig) <= 1e-12 * trig
+
+    def test_raises_where_b_overflows(self):
+        with pytest.raises(DomainError, match="overflows"):
+            milton_B(cfg_between(), EvalPoint(1e-100))
+        with pytest.raises(DomainError, match="overflows"):
+            coefficient_B(1.0, 1e-100)
 
 
 class TestTensorBetween:
@@ -127,6 +135,20 @@ class TestTensorOutside:
         t = tensor_outside(cfg, EvalPoint(-1.0))
         assert t.as_tuple() == (0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("xi,sign", [(0.0, 1.0), (1.0, -1.0)])
+    def test_far_field_underflows_to_signed_zero(self, xi, sign):
+        # dist**4 overflows; w = (1 - 6 xi) / inf keeps the sign of 1 - 6 xi
+        cfg = PlateConfig(a=1.0, xi=xi)
+        for x3 in (-1e100, 1e100):
+            t = tensor_outside(cfg, EvalPoint(x3))
+            assert t.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+            assert math.copysign(1.0, t.t11) == sign
+            assert math.copysign(1.0, t.t00) == -sign
+
+    def test_raises_where_tensor_overflows(self):
+        with pytest.raises(DomainError, match="overflows"):
+            tensor_outside(PlateConfig(a=1.0), EvalPoint(-1e-100))
+
     def test_region_mismatch(self):
         # the side comes from x3, so only a point between the plates is wrong
         with pytest.raises(DomainError):
@@ -135,9 +157,7 @@ class TestTensorOutside:
 
 class TestSinglePlateLimit:
     def test_deviation_decays_quadratically(self):
-        devs = single_plate_limit_check(
-            cfg_between(), EvalPoint(0.5), [10.0, 20.0, 40.0, 80.0]
-        )
+        devs = single_plate_limit_check(EvalPoint(0.5), [10.0, 20.0, 40.0, 80.0])
         assert all(b < a for a, b in zip(devs, devs[1:]))
         for d, a in zip(devs, [10.0, 20.0, 40.0, 80.0]):
             # leading correction is (pi x3 / a)^4 / 45
@@ -145,9 +165,9 @@ class TestSinglePlateLimit:
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            single_plate_limit_check(cfg_between(), EvalPoint(0.5), [0.4, 10.0])
+            single_plate_limit_check(EvalPoint(0.5), [0.4, 10.0])
         with pytest.raises(DomainError):
-            single_plate_limit_check(cfg_between(), EvalPoint(0.5), [10.0, 5.0])
+            single_plate_limit_check(EvalPoint(0.5), [10.0, 5.0])
 
 
 class TestPressure:

@@ -3,12 +3,13 @@ import math
 
 import pytest
 
-from zetacasimir import EvalPoint, PlateConfig, milton_B
+from zetacasimir import EvalPoint, PlateConfig, milton_B, mode_sum_bruteforce, regularized_vev
 from zetacasimir.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
+    _fmt_complex,
     fmt,
     main,
 )
@@ -71,7 +72,7 @@ class TestTensor:
         assert "region=left" in out
         assert "B= milton_B=" in out
 
-    @pytest.mark.parametrize("x3", ["1e-3", "1e-4"])
+    @pytest.mark.parametrize("x3", ["1e-3", "1e-4", "1e-7"])
     def test_near_plate_point(self, capsys, x3):
         # within about 2.3e-3 a of a plate the cosine form of B cancels;
         # the sine form used at runtime stays accurate there
@@ -80,6 +81,17 @@ class TestTensor:
         fields = dict(part.split("=", 1) for part in out.split())
         want = milton_B(PlateConfig(a=1.0), EvalPoint(float(x3)))
         assert float(fields["B"]) == pytest.approx(want, rel=1e-12)
+
+    def test_far_field_prints_signed_zeros(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--a", "1", "--x3=-1e100")
+        assert code == EXIT_OK
+        assert "t00=-0.0\nt11=0.0\nt22=0.0\nt33=0.0\n" in out
+
+    @pytest.mark.parametrize("x3", ["1e-100", "-1e-100"])
+    def test_overflow_next_to_plate_rejected(self, capsys, x3):
+        code, _, err = run(capsys, "tensor", "--a", "1", f"--x3={x3}")
+        assert code == EXIT_DOMAIN
+        assert "overflows" in err
 
     def test_point_on_plate_rejected(self, capsys):
         code, _, err = run(capsys, "tensor", "--a", "1", "--x3", "0")
@@ -228,6 +240,36 @@ class TestConvergence:
         lines = out.strip().splitlines()
         assert lines[0].startswith("L bruteforce_t00")
         assert all(line.endswith("ok") for line in lines[1:])
+
+    @pytest.mark.parametrize("u", ["5.2+0.4j", "4.6"])
+    def test_one_pass_matches_single_truncations(self, capsys, u):
+        # one pass serves every L; rows keep the given order and repeats
+        ells = [300_001, 1000, 1025, 1000, 131_073]
+        code, out, _ = run(
+            capsys, "convergence", "--u", u, "--a", "1.5", "--xi", "0.1",
+            "--x3", "0.45", "--L-list", ",".join(map(str, ells)),
+        )
+        assert code == EXIT_OK
+        cfg, p = PlateConfig(a=1.5, xi=0.1), EvalPoint(0.45)
+        closed = regularized_vev(complex(u), cfg, p)
+        want = []
+        for L in ells:
+            res = mode_sum_bruteforce(complex(u), cfg, p, L)
+            diff = abs(res.tensor.t00 - closed.t00)
+            bound = abs(res.tail_bound.t00)
+            want.append(
+                f"{L} {_fmt_complex(res.tensor.t00)} {_fmt_complex(closed.t00)} "
+                f"{fmt(diff)} {fmt(bound)} {'ok' if diff <= bound else 'FAIL'}"
+            )
+        assert out.splitlines()[1:] == want
+
+    def test_bad_truncation_order_rejected_before_any_row(self, capsys):
+        code, out, _ = run(
+            capsys, "convergence", "--u", "5", "--a", "1", "--x3", "0.5",
+            "--L-list", "10,0",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
 
     def test_nonconvergent_regulator_rejected(self, capsys):
         code, _, err = run(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from zetacasimir import (
@@ -16,6 +17,7 @@ from zetacasimir import (
     regularized_vev,
 )
 from zetacasimir.extrapolate import richardson_even
+from zetacasimir.modesum import _partial_mode_sums
 
 A_UNIT = math.pi**2 / 1440.0
 B_MID = math.pi**2 / 48.0
@@ -23,6 +25,14 @@ B_MID = math.pi**2 / 48.0
 
 def cfg_between(a=1.0, xi=0.0):
     return PlateConfig(a=a, xi=xi)
+
+
+def loop_mode_sums(u, phase, L):
+    """Reference for the brute-force kernel: sum l^(3-u) and
+    sum 2 cos(l phase) l^(3-u) with a complex exp and a cos per term."""
+    ell = np.arange(1, L + 1, dtype=np.float64)
+    powers = np.exp((3.0 - u) * np.log(ell))
+    return complex(np.sum(powers)), complex(np.sum(2.0 * np.cos(phase * ell) * powers))
 
 
 class TestTypes:
@@ -152,6 +162,29 @@ class TestBruteforceOracle:
 
         with pytest.raises(Stop):
             mode_sum_bruteforce(5.0, cfg_between(), EvalPoint(0.5), 100, progress=cancel)
+
+    @pytest.mark.parametrize("u", [5.0, 4.3, 5.5 + 1.2j, 4.7 - 0.3j])
+    @pytest.mark.parametrize("q", [0.37, 0.98])
+    def test_kernel_matches_loop_reference(self, u, q):
+        # row and chunk edges: 1024 terms per row, 2^17 per chunk
+        stops = [1, 1023, 1024, 1025, 2**17, 2**17 + 1, 300_001]
+        phase = 2.0 * math.pi * q
+        sums = _partial_mode_sums(complex(u), phase, stops)
+        assert sorted(sums) == stops
+        for L in stops:
+            for got, want in zip(sums[L], loop_mode_sums(u, phase, L)):
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_progress_reaches_the_truncation_order(self):
+        L = 300_001
+        seen = []
+        mode_sum_bruteforce(
+            5.0, cfg_between(), EvalPoint(0.3), L, progress=lambda d, t: seen.append((d, t))
+        )
+        done = [d for d, _ in seen]
+        assert done == sorted(set(done)) and len(done) > 1
+        assert all(t == L for _, t in seen)
+        assert seen[-1] == (L, L)
 
 
 class TestRadialOracle:

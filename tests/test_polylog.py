@@ -141,6 +141,54 @@ class TestDispatcher:
         assert polylog(2.0, 0.5) == pytest.approx(expected, rel=1e-9)
 
 
+# Li_s(e^{2 pi i q}) from mpmath 1.3.0 at 30 digits, rounded to double
+UNIT_CIRCLE_REFERENCE = [
+    (1.25, 0.05, 1.2113444189284537 + 1.148887908860891j),
+    (1.25, 0.37, -0.6235244451032461 + 0.447586462856007j),
+    (1.25, 0.5, -0.7310987638016613 + 6.790512023272528e-17j),
+    (1.7, 0.05, 1.2061046822520722 + 0.8204845432167517j),
+    (1.7, 0.37, -0.6452965268325394 + 0.5087069912511932j),
+    (1.7, 0.5, -0.7897256936487159 + 7.864791561776337e-17j),
+    (1.7 + 0.8j, 0.05, 1.6294012045031434 + 0.5137138950723084j),
+    (1.7 + 0.8j, 0.37, -0.7533885261466884 + 0.4976417435836065j),
+    (1.7 + 0.8j, 0.5, -0.8075975052756023 - 0.09229476328780635j),
+    (2.2, 0.05, 1.1531725588708457 + 0.6075010751298359j),
+    (2.2, 0.37, -0.6611540390694362 + 0.563363537526348j),
+    (2.2, 0.5, -0.8417466207222358 + 8.864326603015821e-17j),
+]
+
+
+class TestUnitCircle:
+    """Off z = 1 the dispatcher takes the series only when it certifies
+    within its term budget; these orders need more terms and take the
+    Hankel or positive-integer limit route."""
+
+    @pytest.mark.parametrize("s", [1.7, 1.7 + 0.8j, 2.2])
+    @pytest.mark.parametrize("q", [0.37, 0.5])
+    def test_matches_series(self, s, q):
+        z = cmath.exp(2j * math.pi * q)
+        assert abs(polylog(s, z) - polylog_series(s, z, tol=1e-10)) <= 2e-10
+
+    def test_matches_series_at_slow_order(self):
+        # at s = 1.25 the series certifies 1e-10 only beyond its 4M-term cap
+        z = cmath.exp(1j * math.pi)
+        with pytest.raises(ConvergenceError):
+            polylog_series(1.25, z, tol=1e-10)
+        assert abs(polylog(1.25, z) - polylog_series(1.25, z, tol=1e-8)) <= 2e-8
+
+    @pytest.mark.parametrize("s,q,want", UNIT_CIRCLE_REFERENCE)
+    def test_matches_mpmath(self, s, q, want):
+        assert abs(polylog(s, cmath.exp(2j * math.pi * q)) - want) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 2.5, math.pi, 4.0, 6.2])
+    def test_integer_orders_match_exact_forms(self, theta):
+        z = cmath.exp(1j * theta)
+        re_li2 = math.pi**2 / 6.0 - theta * (2.0 * math.pi - theta) / 4.0
+        im_li3 = (theta**3 - 3.0 * math.pi * theta**2 + 2.0 * math.pi**2 * theta) / 12.0
+        assert abs(polylog(2.0, z).real - re_li2) <= 1e-10
+        assert abs(polylog(3.0, z).imag - im_li3) <= 1e-10
+
+
 class TestRiemannZeta:
     def test_negative_odd(self):
         assert riemann_zeta(-3.0).real == pytest.approx(1.0 / 120.0, abs=1e-10)
