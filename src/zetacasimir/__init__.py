@@ -23,7 +23,6 @@ from .casimir import (
     tensor_outside,
 )
 from .errors import (
-    BranchError,
     ConvergenceError,
     DomainError,
     PoleError,
@@ -58,7 +57,6 @@ from .polylog import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchError",
     "ConvergenceError",
     "DomainError",
     "EvalPoint",

@@ -14,6 +14,7 @@ adjacent plate face.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -47,16 +48,48 @@ class PressureVector:
     p3: float
 
 
+def _pow4(x: float) -> float:
+    """x**4, or inf where it overflows."""
+    try:
+        return x**4
+    except OverflowError:
+        return math.inf
+
+
+def _nearest_images(a: float, x3: float) -> float:
+    """B from the nearest image of each plate, (x3^-4 + (a - x3)^-4) / (16 pi^2).
+
+    The other images add at most 0.014 / a^4: below 2.2 (d/a)^4 of B at
+    distance d from the nearer plate, and below 1e-310 where a^4
+    overflows.  DomainError where B overflows."""
+    den_near = 16.0 * math.pi**2 * _pow4(x3)
+    den_far = 16.0 * math.pi**2 * _pow4(a - x3)
+    b = 1.0 / den_near + 1.0 / den_far if den_near and den_far else math.inf
+    if math.isinf(b):
+        raise DomainError(f"B overflows at x3/a = {x3 / a}")
+    return b
+
+
 def coefficient_A(a: float) -> float:
-    return math.pi**2 / (1440.0 * a**4)
+    """Uniform coefficient; DomainError where it overflows."""
+    den = 1440.0 * _pow4(a)
+    value = math.pi**2 / den if den else math.inf
+    if math.isinf(value):
+        raise DomainError(f"A overflows at a = {a}")
+    return value
 
 
 def coefficient_B(a: float, x3: float) -> float:
     """Position-dependent coefficient, sine form; DomainError where B
-    overflows."""
-    sin2 = math.sin(math.pi * x3 / a) ** 2
+    overflows.  The sine is taken at the distance to the nearer plate,
+    which is exact for x3 >= a/2 too; where a^4 or the fourth power of
+    the sine leaves the normal float range, the nearest images give B."""
+    sin2 = math.sin(math.pi * min(x3, a - x3) / a) ** 2
     sin4 = sin2**2
-    b = math.pi**2 / (48.0 * a**4) * (3.0 - 2.0 * sin2) / sin4 if sin4 else math.inf
+    den = 48.0 * _pow4(a)
+    if not (0.0 < den < math.inf and sin4 >= sys.float_info.min):
+        return _nearest_images(a, x3)
+    b = math.pi**2 / den * (3.0 - 2.0 * sin2) / sin4
     if math.isinf(b):
         raise DomainError(f"B overflows at x3/a = {x3 / a}")
     return b
@@ -87,11 +120,14 @@ def milton_B(cfg: PlateConfig, p: EvalPoint) -> float:
     if region_of(cfg.a, p.x3) is not Region.BETWEEN:
         raise DomainError(f"x3 = {p.x3} is outside the plates; B is defined between them")
     q = p.x3 / cfg.a
+    den = 16.0 * math.pi**2 * _pow4(cfg.a)
     try:
         z4 = hurwitz_zeta(4.0, q).real + hurwitz_zeta(4.0, 1.0 - q).real
     except (OverflowError, ZeroDivisionError):  # q^-4 is out of range
         z4 = math.inf
-    b = z4 / (16.0 * math.pi**2 * cfg.a**4)
+    if not (0.0 < den < math.inf and z4 < math.inf):
+        return _nearest_images(cfg.a, p.x3)
+    b = z4 / den
     if math.isinf(b):
         raise DomainError(f"B overflows at x3/a = {q}")
     return b
@@ -106,11 +142,8 @@ def tensor_outside(cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
     if region is Region.BETWEEN:
         raise DomainError(f"x3 = {p.x3} lies between the plates, not outside them")
     dist = -p.x3 if region is Region.LEFT_OUTSIDE else p.x3 - cfg.a
-    try:
-        dist4 = dist**4
-    except OverflowError:  # far field: w underflows to 0.0 with the sign of 1 - 6 xi
-        dist4 = math.inf
-    den = 16.0 * math.pi**2 * dist4
+    # far field: dist^4 overflows and w underflows to 0.0 with the sign of 1 - 6 xi
+    den = 16.0 * math.pi**2 * _pow4(dist)
     w = (1.0 - 6.0 * cfg.xi) / den if den else math.inf
     if math.isinf(w):
         raise DomainError(f"the tensor overflows at distance {dist} from the plate")

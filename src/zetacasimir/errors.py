@@ -19,7 +19,3 @@ class ConvergenceError(ZetaCasimirError):
 
 class QuadratureError(ZetaCasimirError):
     """A quadrature error estimate or truncation bound exceeds the tolerance."""
-
-
-class BranchError(ZetaCasimirError):
-    """A contour parametrization cannot maintain a continuous branch of arg t."""

@@ -1,11 +1,12 @@
 r"""Keyhole ("Hankel") contour quadrature for analytic continuation.
 
-The contour starts at t = T (+ i*offset) on the positive real axis,
-runs inward to a circle of radius r around the origin, turns once
-counterclockwise, and runs back out to t = T (- i*offset).  The branch
-of (-t)^(s-1) = exp(-i pi (s-1)) t^(s-1) is fixed by the continuous
-argument of t along the path, starting at ~0 on the incoming leg and
-ending at ~2 pi on the outgoing one.
+The contour starts at t = T on the positive real axis, runs inward
+along the axis to a circle of radius r around the origin, turns once
+counterclockwise, and runs back out along the axis to t = T.  The
+branch of (-t)^(s-1) = exp(-i pi (s-1)) t^(s-1) is fixed by the
+continuous argument of t along the path: 0 on the incoming leg and
+2 pi on the outgoing one, so the outgoing leg is the incoming one times
+e^(2 pi i (s-1)).
 
 The core integral computed here is
 
@@ -16,8 +17,8 @@ from which  Li_s(z) = -Gamma(1-s) I(s, t -> z/(e^t - z))  and the
 
 Quadrature: composite Gauss-Legendre panels, log-spaced on the legs
 (the integrand steepens like x^(Re s - 1) toward the circle) and
-uniform on the arc; panel counts are doubled until two refinements
-agree, which also furnishes the returned error estimate.
+uniform on the arc; panel counts start at 8 and are doubled until two
+refinements agree, which also furnishes the returned error estimate.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, DomainError, PoleError, QuadratureError
+from .errors import DomainError, PoleError, QuadratureError
 from .gammafn import gamma, is_nonpositive_integer
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_START_PANELS = 8  # per leg and on the arc, before the first doubling
 _MAX_REFINEMENTS = 9
 
 
@@ -44,34 +46,17 @@ class HankelContour:
     radius      -- loop radius around t = 0 (must stay below 2 pi so no
                    extraneous root of e^t = z on the unit circle is
                    enclosed, and below the leg truncation length);
-    leg_length  -- truncation point T of the two straight legs;
-    leg_nodes   -- initial quadrature node budget per leg;
-    arc_nodes   -- initial quadrature node budget on the circle;
-    leg_offset  -- imaginary separation of the legs from the axis, or 0
-                   for legs hugging the axis with the explicit branch
-                   assignment arg t = 0 (incoming) and 2 pi (outgoing).
+    leg_length  -- truncation point T of the two legs on the real axis.
     """
 
     radius: float = 1.0
     leg_length: float = 40.0
-    leg_nodes: int = 128
-    arc_nodes: int = 128
-    leg_offset: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.radius < 2.0 * math.pi):
             raise DomainError(f"radius must lie in (0, 2 pi), got {self.radius}")
         if self.radius >= self.leg_length:
             raise DomainError("radius must be smaller than leg_length")
-        if self.leg_nodes < 2 or self.arc_nodes < 2:
-            raise DomainError("node counts must be at least 2")
-        if self.leg_offset < 0.0:
-            raise BranchError("leg_offset must be non-negative")
-        if self.leg_offset >= self.radius:
-            raise BranchError(
-                "leg_offset >= radius: legs cannot join the arc with a "
-                "continuous arg t"
-            )
 
 
 class HankelResult(NamedTuple):
@@ -94,42 +79,26 @@ def _contour_integral(
     s: complex,
     g: Callable[[np.ndarray], np.ndarray],
     contour: HankelContour,
-    leg_panels: int,
-    arc_panels: int,
+    panels: int,
 ) -> complex:
-    """One pass of I(s, g) at fixed panel counts."""
+    """One pass of I(s, g) with the given panel count per leg and arc."""
     r = contour.radius
-    T = contour.leg_length
-    delta = contour.leg_offset
-    x0 = math.sqrt(r * r - delta * delta)
-    theta0 = math.atan2(delta, x0)
     phase = cmath.exp(-1j * math.pi * (s - 1.0))
 
-    def branch_power(abs_t: np.ndarray, arg_t: np.ndarray) -> np.ndarray:
-        # (-t)^(s-1) with arg t continuous from the path start
-        return phase * np.exp((s - 1.0) * (np.log(abs_t) + 1j * arg_t))
+    # Legs, log-spaced panel boundaries from the circle out to T.  The
+    # incoming leg (arg t = 0) runs T -> r, the outgoing one (arg t =
+    # 2 pi) runs r -> T with the integrand times e^(2 pi i (s-1)).
+    x, w = _panel_nodes(np.geomspace(r, contour.leg_length, panels + 1))
+    leg = np.sum(w * np.exp((s - 1.0) * np.log(x)) * g(x))
+    legs = (cmath.exp(2j * math.pi * (s - 1.0)) - 1.0) * leg
 
-    # Legs, log-spaced panel boundaries from the circle out to T.
-    breaks = np.geomspace(x0, T, leg_panels + 1)
-    x, w = _panel_nodes(breaks)
-    t_up = x + 1j * delta
-    t_dn = x - 1j * delta
-    abs_leg = np.hypot(x, delta)
-    arg_up = np.arctan2(delta, x)
-    arg_dn = 2.0 * math.pi - arg_up
-    f_up = branch_power(abs_leg, arg_up) * g(t_up)
-    f_dn = branch_power(abs_leg, arg_dn) * g(t_dn)
-    # incoming leg runs T -> x0 (dt = dx, reversed direction)
-    legs = -np.sum(w * f_up) + np.sum(w * f_dn)
-
-    # Arc, counterclockwise from theta0 to 2 pi - theta0.
-    tbreaks = np.linspace(theta0, 2.0 * math.pi - theta0, arc_panels + 1)
-    theta, wt = _panel_nodes(tbreaks)
+    # Arc, counterclockwise from arg t = 0 to 2 pi.
+    theta, wt = _panel_nodes(np.linspace(0.0, 2.0 * math.pi, panels + 1))
     t_arc = r * np.exp(1j * theta)
-    f_arc = branch_power(np.full_like(theta, r), theta) * g(t_arc) * (1j * t_arc)
-    arc = np.sum(wt * f_arc)
+    power = np.exp((s - 1.0) * (math.log(r) + 1j * theta))
+    arc = np.sum(wt * power * g(t_arc) * (1j * t_arc))
 
-    return complex(legs + arc) / (2j * math.pi)
+    return phase * complex(legs + arc) / (2j * math.pi)
 
 
 def _leg_truncation_bound(s: complex, contour: HankelContour, g_decay: float) -> float:
@@ -154,13 +123,11 @@ def _refine(
     tol: float,
     scale: float,
 ) -> HankelResult:
-    leg_panels = max(2, contour.leg_nodes // _GL_ORDER)
-    arc_panels = max(2, contour.arc_nodes // _GL_ORDER)
-    prev = _contour_integral(s, g, contour, leg_panels, arc_panels)
+    panels = _START_PANELS
+    prev = _contour_integral(s, g, contour, panels)
     for _ in range(_MAX_REFINEMENTS):
-        leg_panels *= 2
-        arc_panels *= 2
-        cur = _contour_integral(s, g, contour, leg_panels, arc_panels)
+        panels *= 2
+        cur = _contour_integral(s, g, contour, panels)
         err = abs(cur - prev)
         if err <= tol * (1.0 + abs(cur)) * scale:
             return HankelResult(cur, err)
@@ -181,17 +148,12 @@ def _roots_inside(z: complex, contour: HankelContour) -> list[complex]:
         t = base + 2j * math.pi * k
         if abs(t) < 1e-14:
             continue  # z = 1 root at the origin is inside by construction
-        inside_disk = abs(t) <= contour.radius
-        inside_strip = (
-            0.0 <= t.real <= contour.leg_length
-            and abs(t.imag) <= contour.leg_offset
-        )
-        if inside_disk or inside_strip:
+        if abs(t) <= contour.radius:
             bad.append(t)
     return bad
 
 
-def default_contour(z: complex, leg_length: float = 40.0) -> HankelContour:
+def default_contour(z: complex) -> HankelContour:
     """Contour adapted to z: the loop stays well clear of every root of
     e^t = z, shrinking toward the origin as z approaches 1."""
     z = complex(z)
@@ -205,7 +167,7 @@ def default_contour(z: complex, leg_length: float = 40.0) -> HankelContour:
             if abs(base + 2j * math.pi * k) > 1e-14
         )
     radius = min(1.0, 0.5 * rho)
-    return HankelContour(radius=radius, leg_length=leg_length)
+    return HankelContour(radius=radius)
 
 
 def hankel_quadrature(

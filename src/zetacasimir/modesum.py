@@ -13,6 +13,9 @@ mode sum converges and a truncated brute-force evaluation with a
 certified tail bound is provided as an oracle, together with a rawer
 radial-quadrature oracle for the energy density that validates the
 analytic polar integration step.
+
+The two polylogarithms in B_u are a conjugate pair: at real u,
+Li_s(conj z) = conj Li_s(z), so one call gives B_u = 2 c Re Li_{u-3}(z).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BranchError, DomainError, PoleError, QuadratureError
+from .errors import DomainError, PoleError, QuadratureError
 from .polylog import polylog, riemann_zeta
 
 # Minkowski signature, fixed throughout; used for trace computation.
@@ -138,16 +141,13 @@ def regularized_coefficients(
     s = u - 3.0
     a_u = riemann_zeta(s, tol=tol) * c
     z = cmath.exp(2j * math.pi * p.x3 / cfg.a)
-    b_u = (polylog(s, z, tol=tol) + polylog(s, z.conjugate(), tol=tol)) * c
+    li = polylog(s, z, tol=tol)
     if u.imag == 0.0:
-        # conjugate pair must be real; a large residue flags a branch bug
-        scale = max(abs(b_u), 1.0)
-        if abs(b_u.imag) > 1e-12 * scale:
-            raise BranchError(
-                f"B_u imaginary residue {b_u.imag:.3e} at real u = {u.real}"
-            )
-        a_u = complex(a_u.real, 0.0)
-        b_u = complex(b_u.real, 0.0)
+        # Li_s(conj z) = conj Li_s(z) at real s: the pair is 2 Re Li_s(z)
+        return RegularizedCoefficients(
+            A_u=complex(a_u.real, 0.0), B_u=complex(2.0 * c.real * li.real, 0.0)
+        )
+    b_u = (li + polylog(s, z.conjugate(), tol=tol)) * c
     return RegularizedCoefficients(A_u=a_u, B_u=b_u)
 
 

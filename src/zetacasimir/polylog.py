@@ -11,12 +11,14 @@ Three evaluation routes are provided:
   contour quadrature, valid for any non-positive-integer order and the
   full closed disk.
 
-``polylog`` dispatches between them; ``riemann_zeta`` is Li_s(1).  Off
-z = 1 it takes the series only when the certified bound meets the
-tolerance within 16 384 terms (``_SERIES_BUDGET``); otherwise one Hankel
-pass, or at positive integer order a limit of four, is both faster and
-more accurate than a longer series.  At z = 1 the series is tried up to
-its term cap, and Hankel takes over where it cannot certify.
+``polylog`` gives each (s, z) one route; ``riemann_zeta`` is Li_s(1).
+At z = 1 it is the Euler-Maclaurin ``hurwitz_zeta(s, 1)`` for Re s > 1
+and Hankel otherwise.  Off z = 1 it takes the series only when the
+certified bound meets the tolerance within 16 384 terms
+(``_SERIES_BUDGET``); otherwise one Hankel pass, or at positive integer
+order a limit of four, is both faster and more accurate than a longer
+series.  ``polylog_series`` keeps its 4M-term cap for direct callers and
+as an oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .gammafn import is_nonpositive_integer
+from .hurwitz import hurwitz_zeta
 
 _SERIES_CHUNK = 4096
 _SERIES_MAX_TERMS = 4_000_000
@@ -168,10 +171,11 @@ def _polylog_pos_int_limit(n: int, z: complex, tol: float) -> complex:
 def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     """Analytically continued Li_s(z) for |z| <= 1.
 
-    Route selection: exact rational form at non-positive integer s with
-    z != 1; the power series where it converges fast enough; keyhole
-    contour quadrature otherwise (with a two-sided limit at positive
-    integer s, where the contour prefactor Gamma(1-s) has a pole).
+    Route selection: Euler-Maclaurin zeta at z = 1 with Re s > 1; exact
+    rational form at non-positive integer s with z != 1; the power series
+    where it converges fast enough; keyhole contour quadrature otherwise
+    (with a two-sided limit at positive integer s, where the contour
+    prefactor Gamma(1-s) has a pole).
     """
     s = complex(s)
     z = complex(z)
@@ -179,26 +183,18 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
         raise DomainError(f"polylog requires |z| <= 1, got |z| = {abs(z)}")
     if z == 1.0 and s == 1.0:
         raise PoleError("Li_1(1) is the harmonic series pole")
+    if z == 1.0 and s.real > 1.0:
+        return hurwitz_zeta(s, 1.0)
 
-    if is_nonpositive_integer(s, tol=1e-12):
-        n = -round(s.real)
-        if abs(z - 1.0) < 1e-12 and z != 1.0:
+    if is_nonpositive_integer(s, tol=1e-12) and z != 1.0:
+        if abs(z - 1.0) < 1e-12:
             raise PoleError(
                 "Li_{-n}(z) is discontinuous at z = 1; refusing |z-1| < 1e-12"
             )
-        if z == 1.0:
-            from .hankel import polylog_hankel
+        return polylog_neg_int(-round(s.real), z)
 
-            return polylog_hankel(s, z, tol=tol).value
-        return polylog_neg_int(n, z)
-
-    if series_domain(s, z) and (
-        z == 1.0 or _series_tail_bound(s, z, _SERIES_BUDGET) <= tol
-    ):
-        try:
-            return polylog_series(s, z, tol=tol)
-        except ConvergenceError:
-            pass
+    if series_domain(s, z) and _series_tail_bound(s, z, _SERIES_BUDGET) <= tol:
+        return polylog_series(s, z, tol=tol)
 
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
         return _polylog_pos_int_limit(round(s.real), z, tol)

@@ -51,6 +51,35 @@ class TestCoefficients:
                 coefficient_B(1.0, 1.0 - x3), rel=1e-12
             )
 
+    def test_far_plate_accuracy(self):
+        # sin(pi x3/a) of an argument next to pi would lose 6e-6 here;
+        # the reference is mpmath 1.3.0 at 40 digits
+        x3 = 0.99999999999
+        want = 6.332571881808463082723177798816987468249e41
+        assert coefficient_B(1.0, x3) == pytest.approx(want, rel=1e-15)
+        assert coefficient_B(1.0, x3) == milton_B(cfg_between(), EvalPoint(x3))
+
+    def test_huge_separation_keeps_the_nearest_plates(self):
+        # a^4 overflows, but B tends to 1/(16 pi^2 x3^4) and must not read 0
+        a = 1e100
+        assert coefficient_A(a) == 0.0
+        want = 1.0 / (16.0 * math.pi**2 * 0.5**4)
+        assert coefficient_B(a, 0.5) == pytest.approx(want, rel=1e-15)
+        assert milton_B(cfg_between(a=a), EvalPoint(0.5)) == pytest.approx(want, rel=1e-15)
+        assert coefficient_B(a, 0.5 * a) == 0.0
+        # a^4 fits, sin^4(pi x3/a) underflows
+        want = 1.0 / (16.0 * math.pi**2 * 1e-6**4)
+        assert coefficient_B(1e76, 1e-6) == pytest.approx(want, rel=1e-15)
+        assert milton_B(cfg_between(a=1e76), EvalPoint(1e-6)) == pytest.approx(want, rel=1e-15)
+
+    def test_tiny_separation_overflows(self):
+        with pytest.raises(DomainError, match="overflows"):
+            coefficient_A(1e-100)
+        with pytest.raises(DomainError, match="overflows"):
+            coefficient_B(1e-100, 5e-101)
+        with pytest.raises(DomainError, match="overflows"):
+            milton_B(cfg_between(a=1e-100), EvalPoint(5e-101))
+
     def test_rejects_points_on_plates(self):
         with pytest.raises(DomainError):
             renormalized_coefficients(cfg_between(), EvalPoint(0.0))

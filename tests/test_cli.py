@@ -93,6 +93,21 @@ class TestTensor:
         assert code == EXIT_DOMAIN
         assert "overflows" in err
 
+    def test_huge_separation(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--a", "1e100", "--x3", "0.5")
+        assert code == EXIT_OK
+        fields = dict(part.split("=", 1) for part in out.split())
+        b = 1.0 / (16.0 * math.pi**2 * 0.5**4)
+        assert float(fields["B"]) == pytest.approx(b, rel=1e-15)
+        assert float(fields["milton_B"]) == float(fields["B"])
+        assert float(fields["t00"]) == -float(fields["B"])
+        assert fields["pressure_magnitude"] == "0.0"
+
+    def test_tiny_separation_rejected(self, capsys):
+        code, _, err = run(capsys, "tensor", "--a", "1e-100", "--x3", "5e-101")
+        assert code == EXIT_DOMAIN
+        assert "overflows" in err
+
     def test_point_on_plate_rejected(self, capsys):
         code, _, err = run(capsys, "tensor", "--a", "1", "--x3", "0")
         assert code == EXIT_DOMAIN
@@ -286,3 +301,13 @@ class TestPressure:
         mag = math.pi**2 / 480.0
         assert f"plate_at_0 (0.0, 0.0, {fmt(mag)})" in out
         assert f"plate_at_a (0.0, 0.0, {fmt(-mag)})" in out
+
+    def test_huge_separation_underflows(self, capsys):
+        code, out, _ = run(capsys, "pressure", "--a", "1e100")
+        assert code == EXIT_OK
+        assert "plate_at_0 (0.0, 0.0, 0.0)\nplate_at_a (0.0, 0.0, -0.0)\n" in out
+
+    def test_tiny_separation_rejected(self, capsys):
+        code, _, err = run(capsys, "pressure", "--a", "1e-100")
+        assert code == EXIT_DOMAIN
+        assert "overflows" in err

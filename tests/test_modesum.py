@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,14 +11,17 @@ from zetacasimir import (
     PoleError,
     Region,
     continuation_at_zero,
+    gamma,
+    hurwitz_zeta,
     mode_sum_bruteforce,
+    polylog,
     radial_integral_oracle,
     region_of,
     regularized_coefficients,
     regularized_vev,
 )
 from zetacasimir.extrapolate import richardson_even
-from zetacasimir.modesum import _partial_mode_sums
+from zetacasimir.modesum import _partial_mode_sums, _prefactor
 
 A_UNIT = math.pi**2 / 1440.0
 B_MID = math.pi**2 / 48.0
@@ -91,6 +95,30 @@ class TestRegularizedCoefficients:
     def test_a_is_real_at_real_regulator(self, u):
         coeffs = regularized_coefficients(u, cfg_between(), EvalPoint(0.37))
         assert coeffs.A_u.imag == 0.0
+
+    @pytest.mark.parametrize("u", [-2.3, -0.5, 0.4, 2.0, 4.7])
+    def test_b_is_one_call_per_conjugate_pair(self, u):
+        # the two-call sum Li_s(z) + Li_s(conj z) is kept as the oracle
+        cfg, p = cfg_between(a=1.7), EvalPoint(0.61)
+        z = cmath.exp(2j * math.pi * p.x3 / cfg.a)
+        pair = polylog(u - 3.0, z) + polylog(u - 3.0, z.conjugate())
+        want = pair * _prefactor(complex(u), cfg.a)
+        coeffs = regularized_coefficients(u, cfg, p)
+        assert coeffs.B_u.imag == 0.0
+        assert abs(coeffs.B_u - want) <= 1e-12 * abs(want)
+
+    def test_near_minus_one_matches_jonquiere_form(self):
+        # a two-call sum leaves a 2.7e-12 imaginary residue here; the
+        # reference is B_u by Jonquiere's inversion, w = 4 - u
+        u, a, x3 = -0.99970, 0.352, 0.212 * 0.352
+        coeffs = regularized_coefficients(u, cfg_between(a=a), EvalPoint(x3))
+        q, w = x3 / a, 4.0 - u
+        want = (
+            _prefactor(complex(u), a) * gamma(w) * (2.0 * math.pi) ** -w
+            * 2.0 * math.cos(0.5 * math.pi * w)
+            * (hurwitz_zeta(w, q) + hurwitz_zeta(w, 1.0 - q))
+        )
+        assert abs(coeffs.B_u - want) <= 1e-10 * abs(want)
 
 
 class TestRegularizedVev:

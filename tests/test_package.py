@@ -1,5 +1,8 @@
-"""Guards on the package as a whole: clean compilation and a light import."""
+"""Guards on the package as a whole: clean compilation, a light import
+and the public functions the benchmark trace wraps."""
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -31,3 +34,19 @@ def test_cli_import_does_not_load_scipy():
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_traced_functions_exist():
+    # bench/tracing.py wraps these by name; read them without importing bench
+    tracing = PACKAGE.parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    for name in traced:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"zetacasimir.{module}"), function)), name

@@ -10,6 +10,7 @@ from zetacasimir import (
     ConvergenceError,
     DomainError,
     PoleError,
+    hurwitz_zeta,
     polylog,
     polylog_neg_int,
     polylog_series,
@@ -189,7 +190,26 @@ class TestUnitCircle:
         assert abs(polylog(3.0, z).imag - im_li3) <= 1e-10
 
 
+# zeta(s) from mpmath 1.3.0 at 40 digits, rounded to double
+ZETA_REFERENCE = [
+    (1.2, 5.591582441177752),
+    (1.5 + 0.5j, 1.6136857738477235 - 0.966099383192756j),
+    (2.2 - 1.3j, 1.0498116052568447 + 0.33701092903646596j),
+    (2.5, 1.341487257250917),
+    (3.0, 1.2020569031595942),
+    (4.0, 1.0823232337111381),
+]
+
+
 class TestRiemannZeta:
+    @pytest.mark.parametrize("s,want", ZETA_REFERENCE)
+    def test_matches_mpmath(self, s, want):
+        assert abs(riemann_zeta(s) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("s", [1.2, 2.5 + 7j, 3.0, 26.0 - 30j])
+    def test_is_euler_maclaurin_above_one(self, s):
+        assert riemann_zeta(s) == hurwitz_zeta(s, 1.0)
+
     def test_negative_odd(self):
         assert riemann_zeta(-3.0).real == pytest.approx(1.0 / 120.0, abs=1e-10)
 
