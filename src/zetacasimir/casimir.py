@@ -56,20 +56,6 @@ def _pow4(x: float) -> float:
         return math.inf
 
 
-def _nearest_images(a: float, x3: float) -> float:
-    """B from the nearest image of each plate, (x3^-4 + (a - x3)^-4) / (16 pi^2).
-
-    The other images add at most 0.014 / a^4: below 2.2 (d/a)^4 of B at
-    distance d from the nearer plate, and below 1e-310 where a^4
-    overflows.  DomainError where B overflows."""
-    den_near = 16.0 * math.pi**2 * _pow4(x3)
-    den_far = 16.0 * math.pi**2 * _pow4(a - x3)
-    b = 1.0 / den_near + 1.0 / den_far if den_near and den_far else math.inf
-    if math.isinf(b):
-        raise DomainError(f"B overflows at x3/a = {x3 / a}")
-    return b
-
-
 def coefficient_A(a: float) -> float:
     """Uniform coefficient; DomainError where it overflows."""
     den = 1440.0 * _pow4(a)
@@ -82,14 +68,20 @@ def coefficient_A(a: float) -> float:
 def coefficient_B(a: float, x3: float) -> float:
     """Position-dependent coefficient, sine form; DomainError where B
     overflows.  The sine is taken at the distance to the nearer plate,
-    which is exact for x3 >= a/2 too; where a^4 or the fourth power of
-    the sine leaves the normal float range, the nearest images give B."""
+    which is exact for x3 >= a/2 too."""
     sin2 = math.sin(math.pi * min(x3, a - x3) / a) ** 2
     sin4 = sin2**2
     den = 48.0 * _pow4(a)
-    if not (0.0 < den < math.inf and sin4 >= sys.float_info.min):
-        return _nearest_images(a, x3)
-    b = math.pi**2 / den * (3.0 - 2.0 * sin2) / sin4
+    if 0.0 < den < math.inf and sin4 >= sys.float_info.min:
+        b = math.pi**2 / den * (3.0 - 2.0 * sin2) / sin4
+    else:
+        # a^4 or sin^4 leaves the normal range: the nearest image of each
+        # plate, (x3^-4 + (a - x3)^-4) / (16 pi^2).  The others add at most
+        # 0.014 / a^4, below 2.2 (d/a)^4 of B at distance d from the
+        # nearer plate and below 1e-310 where a^4 overflows.
+        near = 16.0 * math.pi**2 * _pow4(x3)
+        far = 16.0 * math.pi**2 * _pow4(a - x3)
+        b = 1.0 / near + 1.0 / far if near and far else math.inf
     if math.isinf(b):
         raise DomainError(f"B overflows at x3/a = {x3 / a}")
     return b
@@ -115,21 +107,18 @@ def tensor_between_plates(cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
 
 def milton_B(cfg: PlateConfig, p: EvalPoint) -> float:
     """Hurwitz-zeta representation of B(x3); must coincide with the
-    trigonometric closed form.  DomainError where zeta(4, q) or B
-    overflows."""
+    trigonometric closed form.  DomainError where zeta(4, q), a^4 or B
+    leaves the float range."""
     if region_of(cfg.a, p.x3) is not Region.BETWEEN:
         raise DomainError(f"x3 = {p.x3} is outside the plates; B is defined between them")
     q = p.x3 / cfg.a
-    den = 16.0 * math.pi**2 * _pow4(cfg.a)
     try:
         z4 = hurwitz_zeta(4.0, q).real + hurwitz_zeta(4.0, 1.0 - q).real
-    except (OverflowError, ZeroDivisionError):  # q^-4 is out of range
-        z4 = math.inf
-    if not (0.0 < den < math.inf and z4 < math.inf):
-        return _nearest_images(cfg.a, p.x3)
-    b = z4 / den
+        b = z4 / (16.0 * math.pi**2 * cfg.a**4)
+    except (OverflowError, ZeroDivisionError):
+        b = math.inf
     if math.isinf(b):
-        raise DomainError(f"B overflows at x3/a = {q}")
+        raise DomainError(f"the Hurwitz form of B overflows at a = {cfg.a}, x3/a = {q}")
     return b
 
 

@@ -30,9 +30,9 @@ _BERNOULLI = (
 def hurwitz_zeta(s: complex, q: float, tol: float = 1e-12) -> complex:
     """zeta(s, q) = sum_{l>=0} (l+q)^(-s) for Re s > 1, q > 0.
 
-    Direct summation of the first N terms plus the Euler-Maclaurin
-    correction for the tail; relative accuracy ~1e-12 in the supported
-    regime.
+    Direct summation of the first N = max(16, |s| + 8) terms plus the
+    Euler-Maclaurin correction for the tail, so the cost grows linearly
+    with |s|; relative accuracy ~1e-12 in the supported regime.
     """
     s = complex(s)
     if s.real <= 1.0:

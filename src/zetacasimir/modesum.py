@@ -15,7 +15,8 @@ radial-quadrature oracle for the energy density that validates the
 analytic polar integration step.
 
 The two polylogarithms in B_u are a conjugate pair: at real u,
-Li_s(conj z) = conj Li_s(z), so one call gives B_u = 2 c Re Li_{u-3}(z).
+Li_s(conj z) = conj Li_s(z), so B_u is real and its imaginary part,
+quadrature error alone, is dropped.
 """
 
 from __future__ import annotations
@@ -141,13 +142,12 @@ def regularized_coefficients(
     s = u - 3.0
     a_u = riemann_zeta(s, tol=tol) * c
     z = cmath.exp(2j * math.pi * p.x3 / cfg.a)
-    li = polylog(s, z, tol=tol)
+    b_u = (polylog(s, z, tol=tol) + polylog(s, z.conjugate(), tol=tol)) * c
     if u.imag == 0.0:
-        # Li_s(conj z) = conj Li_s(z) at real s: the pair is 2 Re Li_s(z)
-        return RegularizedCoefficients(
-            A_u=complex(a_u.real, 0.0), B_u=complex(2.0 * c.real * li.real, 0.0)
-        )
-    b_u = (li + polylog(s, z.conjugate(), tol=tol)) * c
+        # Li_s(conj z) = conj Li_s(z) at real s: the imaginary part is
+        # quadrature error
+        a_u = complex(a_u.real, 0.0)
+        b_u = complex(b_u.real, 0.0)
     return RegularizedCoefficients(A_u=a_u, B_u=b_u)
 
 

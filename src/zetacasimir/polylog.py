@@ -175,7 +175,8 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     rational form at non-positive integer s with z != 1; the power series
     where it converges fast enough; keyhole contour quadrature otherwise
     (with a two-sided limit at positive integer s, where the contour
-    prefactor Gamma(1-s) has a pole).
+    prefactor Gamma(1-s) has a pole).  The zeta route sums about |s|
+    terms directly, so its cost grows linearly with |s|.
     """
     s = complex(s)
     z = complex(z)
@@ -184,7 +185,9 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     if z == 1.0 and s == 1.0:
         raise PoleError("Li_1(1) is the harmonic series pole")
     if z == 1.0 and s.real > 1.0:
-        return hurwitz_zeta(s, 1.0)
+        # no looser than hurwitz_zeta's own 1e-12: at 1e-10 its tail
+        # correction stops a term early and zeta is 1.4e-12 off, not 2e-14
+        return hurwitz_zeta(s, 1.0, tol=min(tol, 1e-12))
 
     if is_nonpositive_integer(s, tol=1e-12) and z != 1.0:
         if abs(z - 1.0) < 1e-12:
@@ -205,7 +208,8 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
 
 
 def riemann_zeta(s: complex, tol: float = 1e-10) -> complex:
-    """zeta(s) = Li_s(1), continued to all s != 1."""
+    """zeta(s) = Li_s(1), continued to all s != 1; for Re s > 1 it costs
+    O(|s|) (see ``polylog``)."""
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has its only pole at s = 1")

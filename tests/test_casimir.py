@@ -65,12 +65,16 @@ class TestCoefficients:
         assert coefficient_A(a) == 0.0
         want = 1.0 / (16.0 * math.pi**2 * 0.5**4)
         assert coefficient_B(a, 0.5) == pytest.approx(want, rel=1e-15)
-        assert milton_B(cfg_between(a=a), EvalPoint(0.5)) == pytest.approx(want, rel=1e-15)
         assert coefficient_B(a, 0.5 * a) == 0.0
         # a^4 fits, sin^4(pi x3/a) underflows
         want = 1.0 / (16.0 * math.pi**2 * 1e-6**4)
         assert coefficient_B(1e76, 1e-6) == pytest.approx(want, rel=1e-15)
-        assert milton_B(cfg_between(a=1e76), EvalPoint(1e-6)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("a,x3", [(1e100, 0.5), (1e76, 1e-6)])
+    def test_hurwitz_form_refuses_what_it_cannot_represent(self, a, x3):
+        # a^4 or zeta(4, x3/a) leaves the float range; B is still finite
+        with pytest.raises(DomainError, match="Hurwitz form"):
+            milton_B(cfg_between(a=a), EvalPoint(x3))
 
     def test_tiny_separation_overflows(self):
         with pytest.raises(DomainError, match="overflows"):

