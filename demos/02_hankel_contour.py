@@ -9,8 +9,8 @@ the argument approaches the singular point z = 1.
 
 import cmath
 
-from zetacasimir import HankelContour, polylog_hankel, polylog_neg_int
-from zetacasimir.hankel import default_contour
+from zetacasimir import polylog_hankel, polylog_neg_int
+from zetacasimir.hankel import default_radius
 
 print("=== zeta(-3) from the contour (branch-convention check) ===")
 # With legs at arg t = 0 and 2 pi and a counterclockwise loop, the
@@ -24,8 +24,7 @@ print("=== contour geometry is not load-bearing ===")
 # Any admissible loop radius gives the same number; only enclosing a
 # root of e^t = z would change the value (and is rejected up front).
 for radius in (1.0, 0.5, 0.25):
-    contour = HankelContour(radius=radius)
-    val = polylog_hankel(-1.5, -0.5, contour=contour, tol=1e-10).value
+    val = polylog_hankel(-1.5, -0.5, radius=radius, tol=1e-10).value
     print(f"radius {radius:4.2f}: Li_(-1.5)(-0.5) = {val.real:.14f}")
 
 print()
@@ -35,11 +34,11 @@ print("=== walking toward the singular point z = 1 ===")
 # up to |z - 1| ~ 1e-3 where Li_(-3) has grown to ~1e12.
 for eps in (1e-1, 1e-2, 1e-3):
     z = 1.0 - eps
-    contour = default_contour(z)
+    radius = default_radius(z)
     got = polylog_hankel(-3.0, z, tol=1e-10).value
     ref = polylog_neg_int(3, z)
     rel = abs(got - ref) / abs(ref)
-    print(f"z = 1 - {eps:.0e}: radius {contour.radius:.4f}, "
+    print(f"z = 1 - {eps:.0e}: radius {radius:.4f}, "
           f"value {got.real:.6e}, rel error vs closed form {rel:.2e}")
 
 print()

@@ -30,7 +30,7 @@ from .errors import (
     ZetaCasimirError,
 )
 from .gammafn import gamma
-from .hankel import HankelContour, HankelResult, hankel_recip_gamma_check, polylog_hankel
+from .hankel import HankelResult, hankel_recip_gamma_check, polylog_hankel
 from .hurwitz import hurwitz_zeta, polygamma
 from .modesum import (
     EvalPoint,
@@ -60,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "EvalPoint",
-    "HankelContour",
     "HankelResult",
     "ModeSumResult",
     "PlateConfig",

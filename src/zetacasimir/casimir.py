@@ -111,14 +111,16 @@ def milton_B(cfg: PlateConfig, p: EvalPoint) -> float:
     leaves the float range."""
     if region_of(cfg.a, p.x3) is not Region.BETWEEN:
         raise DomainError(f"x3 = {p.x3} is outside the plates; B is defined between them")
-    q = p.x3 / cfg.a
+    # q at the nearer plate, as in coefficient_B: 1 - x3/a would keep few
+    # digits of the distance next to the far plate
+    q = min(p.x3, cfg.a - p.x3) / cfg.a
     try:
         z4 = hurwitz_zeta(4.0, q).real + hurwitz_zeta(4.0, 1.0 - q).real
         b = z4 / (16.0 * math.pi**2 * cfg.a**4)
     except (OverflowError, ZeroDivisionError):
         b = math.inf
     if math.isinf(b):
-        raise DomainError(f"the Hurwitz form of B overflows at a = {cfg.a}, x3/a = {q}")
+        raise DomainError(f"the Hurwitz form of B overflows at a = {cfg.a}, x3 = {p.x3}")
     return b
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .gammafn import is_nonpositive_integer
+from .hankel import polylog_hankel
 from .hurwitz import hurwitz_zeta
 
 _SERIES_CHUNK = 4096
@@ -156,7 +157,6 @@ def _polylog_pos_int_limit(n: int, z: complex, tol: float) -> complex:
     s -> n limit, realized here by evaluating at n +/- delta and
     Richardson-extrapolating the even part in delta^2.
     """
-    from .hankel import polylog_hankel
 
     def sym(delta: float) -> complex:
         up = polylog_hankel(n + delta, z, tol=tol).value
@@ -175,8 +175,10 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     rational form at non-positive integer s with z != 1; the power series
     where it converges fast enough; keyhole contour quadrature otherwise
     (with a two-sided limit at positive integer s, where the contour
-    prefactor Gamma(1-s) has a pole).  The zeta route sums about |s|
-    terms directly, so its cost grows linearly with |s|.
+    prefactor Gamma(1-s) has a pole).  The contour route checks tol on
+    the value it returns and raises QuadratureError where it cannot meet
+    it.  The zeta route sums about |s| terms directly, so its cost grows
+    linearly with |s|.
     """
     s = complex(s)
     z = complex(z)
@@ -190,10 +192,6 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
         return hurwitz_zeta(s, 1.0, tol=min(tol, 1e-12))
 
     if is_nonpositive_integer(s, tol=1e-12) and z != 1.0:
-        if abs(z - 1.0) < 1e-12:
-            raise PoleError(
-                "Li_{-n}(z) is discontinuous at z = 1; refusing |z-1| < 1e-12"
-            )
         return polylog_neg_int(-round(s.real), z)
 
     if series_domain(s, z) and _series_tail_bound(s, z, _SERIES_BUDGET) <= tol:
@@ -202,9 +200,7 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
         return _polylog_pos_int_limit(round(s.real), z, tol)
 
-    from .hankel import polylog_hankel
-
-    return polylog_hankel(s, z, tol=max(tol, 1e-10)).value
+    return polylog_hankel(s, z, tol=tol).value
 
 
 def riemann_zeta(s: complex, tol: float = 1e-10) -> complex:

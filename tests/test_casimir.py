@@ -108,6 +108,13 @@ class TestMiltonRoute:
             trig = coefficient_B(1.0, x3)
             assert abs(milton_B(cfg_between(), p) - trig) <= 1e-12 * trig
 
+    def test_next_to_far_plate(self):
+        # x3 = a (1 - 1e-11) with a != 1: 1 - x3/a would keep only ~5
+        # digits of the distance; the value is mpmath's at 40 digits
+        got = milton_B(cfg_between(a=0.352), EvalPoint(0.35199999999647996))
+        want = 4.1247813010499319928e43
+        assert abs(got - want) <= 1e-13 * want
+
     def test_raises_where_b_overflows(self):
         with pytest.raises(DomainError, match="overflows"):
             milton_B(cfg_between(), EvalPoint(1e-100))

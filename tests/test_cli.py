@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from zetacasimir import EvalPoint, PlateConfig, milton_B, mode_sum_bruteforce, regularized_vev
+from zetacasimir import (
+    EvalPoint,
+    PlateConfig,
+    RegularizedCoefficients,
+    cli,
+    milton_B,
+    mode_sum_bruteforce,
+    regularized_vev,
+)
 from zetacasimir.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -43,6 +51,11 @@ class TestSpecfun:
         code, out, _ = run(capsys, "specfun", "polylog", "-3", "-1")
         assert code == EXIT_OK
         assert float(out.split()[0]) == pytest.approx(0.125, rel=1e-9)
+
+    def test_missed_tolerance_is_convergence_error(self, capsys):
+        code, out, err = run(capsys, "specfun", "polylog", "--", "-20.3", "-1")
+        assert code == EXIT_CONVERGENCE
+        assert out == "" and "error:" in err
 
     def test_gamma_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "specfun", "gamma", "0")
@@ -277,6 +290,32 @@ class TestConvergence:
                 f"{fmt(diff)} {fmt(bound)} {'ok' if diff <= bound else 'FAIL'}"
             )
         assert out.splitlines()[1:] == want
+
+    @pytest.mark.parametrize("u", ["6", "7"])
+    def test_closed_form_rounding_is_not_a_failure(self, capsys, u):
+        # at L = 10^6 the tail bound drops below the rounding error of the
+        # closed form (|diff| ~ 2e-15 on t00 ~ 1e-3 at u = 6)
+        code, out, _ = run(
+            capsys, "convergence", "--u", u, "--a", "1", "--x3", "0.5",
+            "--L-list", "1000000",
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1].endswith(" ok")
+
+    def test_wrong_closed_form_fails(self, capsys, monkeypatch):
+        real = cli.regularized_coefficients
+
+        def perturbed(*args, **kwargs):
+            c = real(*args, **kwargs)
+            return RegularizedCoefficients(A_u=c.A_u * (1.0 + 1e-8), B_u=c.B_u)
+
+        monkeypatch.setattr(cli, "regularized_coefficients", perturbed)
+        code, out, _ = run(
+            capsys, "convergence", "--u", "6", "--a", "1", "--x3", "0.5",
+            "--L-list", "1000000",
+        )
+        assert code == EXIT_CONVERGENCE
+        assert out.splitlines()[1].endswith(" FAIL")
 
     def test_bad_truncation_order_rejected_before_any_row(self, capsys):
         code, out, _ = run(

@@ -5,30 +5,28 @@ import pytest
 
 from zetacasimir import (
     DomainError,
-    HankelContour,
     PoleError,
+    QuadratureError,
     gamma,
     hankel_recip_gamma_check,
     polylog_hankel,
     polylog_neg_int,
     polylog_series,
 )
-from zetacasimir.hankel import default_contour
+from zetacasimir.hankel import default_radius
 
 
 class TestContourInvariants:
     def test_radius_cap(self):
         with pytest.raises(DomainError):
-            HankelContour(radius=2.0 * math.pi)
-
-    def test_radius_below_leg_length(self):
+            polylog_hankel(-1.5, 0.5, radius=2.0 * math.pi)
         with pytest.raises(DomainError):
-            HankelContour(radius=1.0, leg_length=0.5)
+            hankel_recip_gamma_check(-1.5, 1, radius=0.0)
 
     def test_enclosed_root_rejected(self):
         # e^t = -1 has roots at +-i pi; a radius above pi swallows them
         with pytest.raises(DomainError):
-            polylog_hankel(-1.5, -1.0, contour=HankelContour(radius=4.0))
+            polylog_hankel(-1.5, -1.0, radius=4.0)
 
 
 class TestAgainstSeriesRoute:
@@ -126,12 +124,19 @@ class TestRecipGammaIdentity:
 class TestContourStability:
     @pytest.mark.parametrize("s,z", [(-3.0, -1.0), (-1.5, 0.7), (0.5, 0.5)])
     def test_shrinking_the_loop(self, s, z):
-        base = default_contour(z)
-        half = HankelContour(radius=0.5 * base.radius, leg_length=base.leg_length)
-        a = polylog_hankel(s, z, contour=base, tol=1e-10)
-        b = polylog_hankel(s, z, contour=half, tol=1e-10)
+        base = default_radius(z)
+        a = polylog_hankel(s, z, radius=base, tol=1e-10)
+        b = polylog_hankel(s, z, radius=0.5 * base, tol=1e-10)
         tol = 1e-8 * (1.0 + abs(a.value))
         assert abs(a.value - b.value) <= tol
+
+    def test_tolerance_applies_to_returned_value(self):
+        # Gamma(21.3) ~ 1e19 multiplies the core integral; agreement of
+        # two passes on the integral alone would pass 1e-5 off
+        with pytest.raises(QuadratureError):
+            polylog_hankel(-20.3, -1.0, tol=1e-10)
+        res = polylog_hankel(-10.5, -1.0, tol=1e-10)
+        assert res.error <= 2e-10 * (1.0 + abs(res.value))
 
     def test_error_estimate_is_honest(self):
         res = polylog_hankel(-1.5, 0.7, tol=1e-10)

@@ -10,6 +10,7 @@ from zetacasimir import (
     ConvergenceError,
     DomainError,
     PoleError,
+    QuadratureError,
     hurwitz_zeta,
     polylog,
     polylog_neg_int,
@@ -140,6 +141,34 @@ class TestDispatcher:
         val = polylog(2.0, -0.5)
         assert val == pytest.approx(polylog_series(2.0, -0.5, tol=1e-13), rel=1e-9)
         assert polylog(2.0, 0.5) == pytest.approx(expected, rel=1e-9)
+
+
+class TestContourTolerance:
+    """The contour route checks tol on Li_s itself, after Gamma(1-s)."""
+
+    def test_large_prefactor_raises(self):
+        # Gamma(21.3) ~ 1e19: two passes that agree on the core integral
+        # still leave Li_s 1e-5 off
+        with pytest.raises(QuadratureError):
+            polylog(-20.3, -1.0)
+
+    @pytest.mark.parametrize("s", [2.0 + 1e-9, 2.0 - 1e-9])
+    @pytest.mark.parametrize("z", [-1.0, cmath.exp(1.0j)])
+    def test_next_to_prefactor_pole_raises(self, s, z):
+        with pytest.raises(QuadratureError):
+            polylog(s, z)
+
+    # Li_{-10.5}(z) from mpmath 1.3.0 at 30 digits, rounded to double
+    @pytest.mark.parametrize(
+        "z,want",
+        [
+            (-1.0, 32.271472901954056),
+            (cmath.exp(1.0j), 8414162.796801243 - 8414162.714993935j),
+        ],
+    )
+    def test_moderate_prefactor_meets_tol(self, z, want):
+        val = polylog(-10.5, z, tol=1e-10)
+        assert abs(val - want) <= 1e-10 * (1.0 + abs(val))
 
 
 # Li_s(e^{2 pi i q}) from mpmath 1.3.0 at 30 digits, rounded to double
