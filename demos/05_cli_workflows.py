@@ -39,7 +39,7 @@ main(["profile", "--a", "1", "--n-points", "3", "--x3-min", "0.25",
       "--x3-max", "0.75", "--format", "json", "--output", str(json_path)])
 doc = json.loads(json_path.read_text())
 print(f"meta: {doc['meta']['tool']} {doc['meta']['version']}, "
-      f"tolerances {doc['meta']['tolerances']}")
+      f"inputs {doc['meta']['inputs']}")
 print(f"first row: {doc['rows'][0]}")
 
 print()

@@ -117,7 +117,7 @@ def milton_B(cfg: PlateConfig, p: EvalPoint) -> float:
     try:
         z4 = hurwitz_zeta(4.0, q).real + hurwitz_zeta(4.0, 1.0 - q).real
         b = z4 / (16.0 * math.pi**2 * cfg.a**4)
-    except (OverflowError, ZeroDivisionError):
+    except (DomainError, OverflowError, ZeroDivisionError):  # zeta(4, q) or a^4 overflows
         b = math.inf
     if math.isinf(b):
         raise DomainError(f"the Hurwitz form of B overflows at a = {cfg.a}, x3 = {p.x3}")

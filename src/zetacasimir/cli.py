@@ -10,14 +10,16 @@ Exit codes: 0 ok, 2 domain/validation error, 3 convergence error,
 shortest round-trip representation (<= 17 significant digits), rows are
 sorted, and the data section carries no timestamps.
 
-The environment variable ``ZETACASIMIR_TOLERANCE`` selects the default
-tolerance profile (``strict``, the default, or ``fast``).  A ``--config``
-file with ``key = value`` lines can mirror any flag; explicit flags win.
+The environment variable ``ZETACASIMIR_TOLERANCE`` selects the tolerance
+``specfun`` evaluates at (``strict``, the default, 1e-10, or ``fast``,
+1e-8).  A ``--config`` file with ``key = value`` lines can mirror any
+flag; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -46,13 +48,10 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
-_TOLERANCE_PROFILES = {
-    "strict": {"series": 1e-10, "quadrature": 1e-8},
-    "fast": {"series": 1e-8, "quadrature": 1e-6},
-}
+_TOLERANCE_PROFILES = {"strict": 1e-10, "fast": 1e-8}
 
 
-def tolerance_profile() -> dict[str, float]:
+def tolerance_profile() -> float:
     name = os.environ.get("ZETACASIMIR_TOLERANCE", "strict")
     if name not in _TOLERANCE_PROFILES:
         raise DomainError(
@@ -80,9 +79,12 @@ def _fmt_complex(v: complex) -> str:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"arguments must be finite, got {text!r}")
+    return value
 
 
 def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[str, Any]:
@@ -123,7 +125,7 @@ def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[st
 # ----------------------------- subcommands -----------------------------
 
 def _cmd_specfun(args: argparse.Namespace) -> int:
-    tol = tolerance_profile()["series"]
+    tol = tolerance_profile()
     fn = args.function
     vals = [_parse_complex(v) for v in args.args]
 
@@ -179,7 +181,6 @@ _CSV_FIELDS = ["x3", "region", "t00", "t11", "t22", "t33", "B", "milton_B"]
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     rows = _profile_rows(args)
-    tols = tolerance_profile()
     try:
         if args.format == "csv":
             with open(args.output, "w", newline="") as fh:
@@ -203,7 +204,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "meta": {
                     "tool": "zetacasimir",
                     "version": __version__,
-                    "tolerances": tols,
                     "inputs": {
                         "a": args.a,
                         "xi": args.xi,

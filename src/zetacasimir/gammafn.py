@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 _LANCZOS_G = 607.0 / 128.0
 
@@ -45,17 +45,33 @@ def is_nonpositive_integer(s: complex, tol: float = 0.0) -> bool:
 def gamma(s: complex) -> complex:
     """Gamma(s) for complex s.
 
-    Raises PoleError at the poles s = 0, -1, -2, ...
+    Raises PoleError at the poles s = 0, -1, -2, ... and DomainError
+    where |Gamma(s)| overflows; where it underflows the value is a zero
+    (signed at real s).
     """
     s = complex(s)
     if is_nonpositive_integer(s):
         raise PoleError(f"Gamma pole at s = {s}")
     if s.real < 0.5:
         # Reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        sine = cmath.sin(math.pi * s)
+        try:
+            mirror = gamma(1.0 - s)
+        except DomainError:  # |Gamma(1-s)| overflows, so |Gamma(s)| underflows
+            return complex(math.copysign(0.0, sine.real), 0.0)
+        return math.pi / (sine * mirror)
     x = s - 1.0
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (x + k)
     t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
+    # t^(x+1/2) e^(-t) as two halves around e^(-t): no factor overflows
+    # before the product does
+    try:
+        half = t ** (0.5 * (x + 0.5))
+        value = math.sqrt(2.0 * math.pi) * acc * half * (cmath.exp(-t) * half)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"|Gamma(s)| overflows at s = {s}")
+    return value

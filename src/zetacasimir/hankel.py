@@ -183,7 +183,7 @@ def polylog_hankel(
     s = complex(s)
     z = complex(z)
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
-        raise PoleError(f"Gamma(1-s) pole at s = {s}; use the limit route")
+        raise PoleError(f"Gamma(1-s) pole at s = {s}; polylog expands in log z there")
     if abs(z) > 1.0 + 1e-14:
         raise DomainError(f"|z| <= 1 required, got |z| = {abs(z)}")
     if radius is None:

@@ -1,24 +1,27 @@
 """Polylogarithm Li_s(z) on the closed unit disk.
 
-Three evaluation routes are provided:
+Four evaluation routes are provided:
 
 * ``polylog_series`` -- the defining power series, with a certified
   truncation bound (geometric for |z| < 1, Abel/Dirichlet on |z| = 1);
 * ``polylog_neg_int`` -- the exact rational closed form at non-positive
   integer order, generated by the recurrence
   Li_{-n-1}(z) = z d/dz Li_{-n}(z) from Li_0(z) = z/(1-z);
+* ``_polylog_pos_int`` -- the expansion in mu = log z at positive
+  integer order (DLMF 25.12.12), whose coefficients are zeta values;
 * ``polylog_hankel`` (in :mod:`zetacasimir.hankel`) -- numerical keyhole
-  contour quadrature, valid for any non-positive-integer order and the
-  full closed disk.
+  contour quadrature, valid for every order but the positive integers
+  and on the full closed disk.
 
 ``polylog`` gives each (s, z) one route; ``riemann_zeta`` is Li_s(1).
-At z = 1 it is the Euler-Maclaurin ``hurwitz_zeta(s, 1)`` for Re s > 1
-and Hankel otherwise.  Off z = 1 it takes the series only when the
-certified bound meets the tolerance within 16 384 terms
-(``_SERIES_BUDGET``); otherwise one Hankel pass, or at positive integer
-order a limit of four, is both faster and more accurate than a longer
-series.  ``polylog_series`` keeps its 4M-term cap for direct callers and
-as an oracle.
+Every zeta value comes from one engine: the Euler-Maclaurin
+``hurwitz_zeta(s, 1)`` for Re s > -1, and the reflection formula onto
+``hurwitz_zeta(1 - s, 1)`` below.  Off z = 1 ``polylog`` takes the
+series only when the certified bound meets the tolerance within 16 384
+terms (``_SERIES_BUDGET``); otherwise the log z expansion at positive
+integer order and one Hankel pass at any other, both faster and more
+accurate than a longer series.  ``polylog_series`` keeps its 4M-term
+cap for direct callers and as an oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gammafn import is_nonpositive_integer
+from .gammafn import gamma, is_nonpositive_integer
 from .hankel import polylog_hankel
 from .hurwitz import hurwitz_zeta
 
@@ -39,6 +42,7 @@ _SERIES_MAX_TERMS = 4_000_000
 # Off z = 1, polylog takes the series only when it certifies within this
 # many terms; one Hankel pass costs less than a longer series.
 _SERIES_BUDGET = 16_384
+_EPS = 2.0**-53
 
 
 def series_domain(s: complex, z: complex) -> bool:
@@ -150,62 +154,104 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     return num / (1.0 - z) ** (n + 1)
 
 
-def _polylog_pos_int_limit(n: int, z: complex, tol: float) -> complex:
-    """Li_n(z) for integer n >= 1 as the limit of the contour route.
+def _zeta(s: complex, tol: float) -> complex:
+    """Riemann zeta for s != 1: the Euler-Maclaurin engine for Re s > -1,
+    and below it the reflection formula (DLMF 25.4.1)
 
-    Gamma(1-s) poles at positive integer s; the value is defined as the
-    s -> n limit, realized here by evaluating at n +/- delta and
-    Richardson-extrapolating the even part in delta^2.
+        zeta(s) = 2 (2 pi)^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
+
+    onto the engine at Re(1-s) >= 2.  The sine is taken after removing
+    whole periods, so the trivial zeros come out as exact zeros.
     """
+    if s.real > -1.0:
+        return hurwitz_zeta(s, 1.0, tol=tol)
+    half = 0.5 * s
+    turns = round(half.real)  # sin(pi h) = (-1)^j sin(pi (h - j))
+    sign = -1.0 if turns % 2 else 1.0
+    try:
+        sine = sign * cmath.sin(math.pi * (half - turns))
+    except OverflowError as exc:
+        raise DomainError(f"sin(pi s/2) leaves the float range at s = {s}") from exc
+    if sine == 0.0:
+        return 0.0 + 0.0j
+    factor = 2.0 * cmath.exp((s - 1.0) * math.log(2.0 * math.pi)) * sine
+    return factor * gamma(1.0 - s) * hurwitz_zeta(1.0 - s, 1.0, tol=tol)
 
-    def sym(delta: float) -> complex:
-        up = polylog_hankel(n + delta, z, tol=tol).value
-        dn = polylog_hankel(n - delta, z, tol=tol).value
-        return 0.5 * (up + dn)
 
-    g1 = sym(1e-4)
-    g2 = sym(5e-5)
-    return (4.0 * g2 - g1) / 3.0
+@lru_cache(maxsize=None)
+def _zeta_at_integer(m: int) -> float:
+    """zeta(m) for integer m != 1, the coefficients of the Li_n expansion,
+    to the engine's full accuracy."""
+    return _zeta(complex(m), 0.0).real
+
+
+def _polylog_pos_int(n: int, z: complex) -> complex:
+    """Li_n(z) for integer n >= 1 and |log z| < 2 pi, z != 1, from the
+    expansion in mu = log z (DLMF 25.12.12):
+
+        Li_n(e^mu) = mu^(n-1)/(n-1)! (H_(n-1) - log(-mu))
+                     + sum_(k != n-1) zeta(n-k) mu^k / k!
+
+    For m = k - n >= 1, |zeta(-m)| <= 2 zeta(2) m! / (2 pi)^(m+1), so the
+    terms past k = n shrink at least like rho^k, rho = |mu|/(2 pi); the
+    sum stops once that tail bound is below rounding.
+    """
+    mu = cmath.log(z)
+    rho = abs(mu) / (2.0 * math.pi)
+    if rho >= 1.0:
+        raise DomainError(f"the expansion of Li_n needs |log z| < 2 pi, got z = {z}")
+    total = 0.0 + 0.0j
+    power = 1.0 + 0.0j  # mu^k / k!
+    harmonic = 0.0  # H_k
+    bound = math.pi / 6.0  # 2 zeta(2) m! / (2 pi)^(m+1) at m = max(k - n, 0)
+    k = 0
+    while True:
+        if k == n - 1:
+            total += power * (harmonic - cmath.log(-mu))
+        else:
+            total += _zeta_at_integer(n - k) * power
+        k += 1
+        power *= mu / k
+        harmonic += 1.0 / k
+        if k > n:
+            bound *= (k - n) / (2.0 * math.pi)
+            if bound * abs(power) / (1.0 - rho) <= _EPS * abs(total):
+                return total
 
 
 def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     """Analytically continued Li_s(z) for |z| <= 1.
 
-    Route selection: Euler-Maclaurin zeta at z = 1 with Re s > 1; exact
-    rational form at non-positive integer s with z != 1; the power series
-    where it converges fast enough; keyhole contour quadrature otherwise
-    (with a two-sided limit at positive integer s, where the contour
-    prefactor Gamma(1-s) has a pole).  The contour route checks tol on
-    the value it returns and raises QuadratureError where it cannot meet
-    it.  The zeta route sums about |s| terms directly, so its cost grows
-    linearly with |s|.
+    Route selection: zeta at z = 1 (Euler-Maclaurin ``hurwitz_zeta`` for
+    Re s > -1, the reflection formula below); exact rational form at
+    non-positive integer s; the power series where it certifies tol
+    within its term budget; the expansion in log z at positive integer
+    s; keyhole contour quadrature otherwise.  The contour route checks
+    tol on the value it returns and raises QuadratureError where it
+    cannot meet it.  The zeta route sums about |s| terms directly, so its
+    cost grows linearly with |s|.
     """
     s = complex(s)
     z = complex(z)
     if abs(z) > 1.0 + 1e-14:
         raise DomainError(f"polylog requires |z| <= 1, got |z| = {abs(z)}")
-    if z == 1.0 and s == 1.0:
-        raise PoleError("Li_1(1) is the harmonic series pole")
-    if z == 1.0 and s.real > 1.0:
-        # no looser than hurwitz_zeta's own 1e-12: at 1e-10 its tail
-        # correction stops a term early and zeta is 1.4e-12 off, not 2e-14
-        return hurwitz_zeta(s, 1.0, tol=min(tol, 1e-12))
+    if z == 1.0:
+        return _zeta(s, tol)
 
-    if is_nonpositive_integer(s, tol=1e-12) and z != 1.0:
+    if is_nonpositive_integer(s, tol=1e-12):
         return polylog_neg_int(-round(s.real), z)
 
     if series_domain(s, z) and _series_tail_bound(s, z, _SERIES_BUDGET) <= tol:
         return polylog_series(s, z, tol=tol)
 
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
-        return _polylog_pos_int_limit(round(s.real), z, tol)
+        return _polylog_pos_int(round(s.real), z)
 
     return polylog_hankel(s, z, tol=tol).value
 
 
 def riemann_zeta(s: complex, tol: float = 1e-10) -> complex:
-    """zeta(s) = Li_s(1), continued to all s != 1; for Re s > 1 it costs
-    O(|s|) (see ``polylog``)."""
+    """zeta(s) = Li_s(1), continued to all s != 1 (see ``polylog``)."""
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has its only pole at s = 1")

@@ -1,0 +1,79 @@
+"""Write reference_values.json: zeta, Hurwitz zeta and Li_n from mpmath.
+
+Run from the root of a checkout with mpmath 1.3.0 installed:
+
+    python3 tests/make_reference_values.py
+
+Every argument is a double, stored as written, and mpmath evaluates it
+exactly at 30 digits before the value is rounded to double.  The tests
+read the JSON file and never import mpmath.
+"""
+
+import cmath
+import json
+import math
+import pathlib
+
+import mpmath
+
+OUT = pathlib.Path(__file__).with_name("reference_values.json")
+
+# zeta(s) for Re s in [-30, 1), |Im s| <= 2; -3.9997 lies next to the
+# trivial zero at -4, and -1 and -0.9999 on either side of the line
+# where the engine hands over to the reflection formula
+ZETA_RE = (
+    -30.0, -29.5, -27.25, -24.1, -21.5, -18.3, -15.7, -12.9, -10.2, -8.0,
+    -7.5, -6.1, -5.5, -4.7, -4.0, -3.9997, -3.3, -3.0, -2.5, -2.0, -1.6,
+    -1.2, -1.0, -0.9999, -0.95, -0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.5,
+    0.6, 0.8, 0.95, 0.999,
+)
+ZETA_IM = (0.0, 0.5, 1.3, -2.0, 2.0)
+
+# zeta(s, q) for Re s in (-1, 1)
+HURWITZ_RE = (-0.999, -0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9, 0.999)
+HURWITZ_IM = (0.0, 1.3, -2.0)
+HURWITZ_Q = (0.02, 0.3, 0.5, 1.0, 2.7, 11.0)
+
+# Li_n(z) on |z| = 1 and |z| = 0.9999, where the power series cannot
+# certify a tight tolerance within its term budget
+POLYLOG_N = (1, 2, 3, 4)
+POLYLOG_ABS = (1.0, 0.9999)
+POLYLOG_ARG = (1e-6, 0.01, 0.3, 1.0, 2.0, 2.9, math.pi, -0.7, -2.5)
+
+
+def pair(v) -> list[float]:
+    v = complex(v)
+    return [v.real, v.imag]
+
+
+def main() -> None:
+    mpmath.mp.dps = 30
+    zeta = [
+        [*pair(complex(re, im)), *pair(mpmath.zeta(mpmath.mpc(re, im)))]
+        for re in ZETA_RE
+        for im in ZETA_IM
+    ]
+    hurwitz = [
+        [*pair(complex(re, im)), q, *pair(mpmath.zeta(mpmath.mpc(re, im), q))]
+        for q in HURWITZ_Q
+        for re in HURWITZ_RE
+        for im in HURWITZ_IM
+    ]
+    polylog = []
+    for n in POLYLOG_N:
+        for r in POLYLOG_ABS:
+            for theta in POLYLOG_ARG:
+                z = r * cmath.exp(1j * theta)
+                polylog.append([n, *pair(z), *pair(mpmath.polylog(n, mpmath.mpc(z)))])
+    tables = {"zeta": zeta, "hurwitz": hurwitz, "polylog": polylog}
+    source = json.dumps(f"mpmath {mpmath.__version__} at {mpmath.mp.dps} digits")
+    # one row per line, so a regenerated file diffs row by row
+    parts = [f'{{\n"source": {source}']
+    for name, rows in tables.items():
+        body = ",\n".join(json.dumps(row) for row in rows)
+        parts.append(f'"{name}": [\n{body}\n]')
+    OUT.write_text(",\n".join(parts) + "\n}\n")
+
+
+if __name__ == "__main__":
+    main()

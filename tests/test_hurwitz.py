@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zetacasimir import DomainError, hurwitz_zeta, polygamma
+from zetacasimir import DomainError, PoleError, hurwitz_zeta, polygamma, riemann_zeta
 
 
 def brute_hurwitz(s, q, n=400_000):
@@ -45,10 +45,29 @@ class TestHurwitzZeta:
         assert val == pytest.approx(q**-4, rel=1e-4)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            hurwitz_zeta(0.5, 1.0)
-        with pytest.raises(DomainError):
-            hurwitz_zeta(4.0, 0.0)
+        # continued below Re s = 1; zeta(1/2) from mpmath 1.3.0 at 30 digits
+        assert abs(hurwitz_zeta(0.5, 1.0) - (-1.4603545088095868)) <= 1e-14
+        for s in (-1.0, -1.5 + 2.0j, -30.0):
+            with pytest.raises(DomainError):
+                hurwitz_zeta(s, 1.0)
+        for q in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                hurwitz_zeta(4.0, q)
+        with pytest.raises(PoleError):
+            hurwitz_zeta(1.0, 0.3)
+
+    def test_large_order_is_the_first_term(self):
+        # past Re s ~ 55 the terms after 1 are below half an ulp
+        assert riemann_zeta(1e300) == 1.0
+        assert hurwitz_zeta(60.0, 1.0) == 1.0
+        assert hurwitz_zeta(100.0 + 3.0j, 2.0) == 2.0 ** -(100.0 + 3.0j)
+
+    def test_work_is_bounded(self):
+        # the head would sum ~1e9 terms
+        with pytest.raises(DomainError, match="terms"):
+            hurwitz_zeta(2.0 + 1e9j, 1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            hurwitz_zeta(1e300, 0.5)
 
 
 class TestPolygamma:
@@ -80,3 +99,9 @@ class TestPolygamma:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             polygamma(0, 1.0)
+
+    @pytest.mark.parametrize("m,q", [(10**10, 1.0), (171, 1.0), (100, 0.01)])
+    def test_order_beyond_float_range(self, m, q):
+        # m! leaves the float range above m = 170, m! q^(-m-1) at (100, 0.01)
+        with pytest.raises(DomainError):
+            polygamma(m, q)

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -9,15 +10,21 @@ from hypothesis import strategies as st
 from zetacasimir import (
     ConvergenceError,
     DomainError,
+    EvalPoint,
+    PlateConfig,
     PoleError,
     QuadratureError,
     hurwitz_zeta,
     polylog,
     polylog_neg_int,
     polylog_series,
+    regularized_coefficients,
     riemann_zeta,
     series_domain,
 )
+
+# the package's polylog attribute is the function; the module holds the routes
+polylog_module = importlib.import_module("zetacasimir.polylog")
 
 
 def brute_sum(s, z, n):
@@ -254,3 +261,48 @@ class TestRiemannZeta:
     def test_pole(self):
         with pytest.raises(PoleError):
             riemann_zeta(1.0)
+
+
+class TestRoutes:
+    """The contour quadrature serves only non-integer orders off z = 1:
+    zeta, Li_n and A_u never reach it."""
+
+    @pytest.fixture
+    def contour_calls(self, monkeypatch):
+        calls = []
+        original = polylog_module.polylog_hankel
+
+        def guarded(s, z, *args, **kwargs):
+            s, z = complex(s), complex(z)
+            calls.append((s, z))
+            if z == 1.0 or (s.imag == 0.0 and s.real == round(s.real)):
+                raise AssertionError(f"contour quadrature reached at s = {s}, z = {z}")
+            return original(s, z, *args, **kwargs)
+
+        monkeypatch.setattr(polylog_module, "polylog_hankel", guarded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "s", [-30.5, -5.5 + 2j, -3.0, -1.0, -0.7 + 0.3j, 0.0, 0.5, 1.2, 3.0, 26.0 - 30j]
+    )
+    def test_zeta_never_reaches_the_contour(self, contour_calls, s):
+        riemann_zeta(s)
+        assert contour_calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("z", [-1.0, 0.5, 0.9999j, cmath.exp(2.5j), cmath.exp(1e-6j)])
+    def test_integer_order_never_reaches_the_contour(self, contour_calls, n, z):
+        polylog(n, z)
+        polylog(n, z, tol=1e-14)
+        assert contour_calls == []
+
+    @pytest.mark.parametrize("u", [0.37, -2.6, 2.1 + 0.5j, 5.0, 6.0])
+    def test_a_u_never_reaches_the_contour(self, contour_calls, u):
+        regularized_coefficients(u, PlateConfig(a=1.3), EvalPoint(0.4))
+        assert all(z != 1.0 for _, z in contour_calls)
+
+    @pytest.mark.parametrize("s", [2.0 + 1e-9, 2.0 - 1e-9])
+    def test_non_integer_order_still_does(self, contour_calls, s):
+        with pytest.raises(QuadratureError):
+            polylog(s, -1.0)
+        assert contour_calls == [(s, -1.0)]
