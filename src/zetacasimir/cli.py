@@ -11,9 +11,10 @@ shortest round-trip representation (<= 17 significant digits), rows are
 sorted, and the data section carries no timestamps.
 
 The environment variable ``ZETACASIMIR_TOLERANCE`` selects the tolerance
-``specfun`` evaluates at (``strict``, the default, 1e-10, or ``fast``,
-1e-8).  A ``--config`` file with ``key = value`` lines can mirror any
-flag; explicit flags win.
+``specfun`` evaluates at (``strict``, the default, ``polylog.DEFAULT_TOL``
+= 1e-10, or ``fast``, 1e-8).  Each ``key = value`` line of a ``profile
+--config`` file becomes the token ``--key=value`` ahead of the flags, so
+argparse types and checks it as the flag, and an explicit flag wins.
 """
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ from .modesum import (
     region_of,
     regularized_coefficients,
 )
-from .polylog import polylog, riemann_zeta
+from .polylog import DEFAULT_TOL, polylog, riemann_zeta
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
-_TOLERANCE_PROFILES = {"strict": 1e-10, "fast": 1e-8}
+_TOLERANCE_PROFILES = {"strict": DEFAULT_TOL, "fast": 1e-8}
 
 
 def tolerance_profile() -> float:
@@ -231,12 +232,12 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise DomainError(f"convergence study requires Re u > 4, got {args.u}")
     cfg = PlateConfig(a=args.a, xi=args.xi)
     p = EvalPoint(args.x3)
-    tol = 1e-10
-    coeffs = regularized_coefficients(u, cfg, p, tol=tol)
+    coeffs = regularized_coefficients(u, cfg, p)
     alpha, beta = _weights(u, cfg.xi)
-    # t00 of regularized_vev, and the error its tol allows on that sum
+    # t00 of regularized_vev, and the error the pipeline tolerance allows
+    # on that sum
     closed = alpha[0] * coeffs.A_u + beta[0] * coeffs.B_u
-    closed_err = tol * (abs(alpha[0] * coeffs.A_u) + abs(beta[0] * coeffs.B_u))
+    closed_err = DEFAULT_TOL * (abs(alpha[0] * coeffs.A_u) + abs(beta[0] * coeffs.B_u))
     results = _bruteforce_results(u, cfg, p, args.L_list)
     print("L bruteforce_t00 closed_t00 difference tail_bound status")
     status_all = EXIT_OK
@@ -271,13 +272,60 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
+def _config_tokens(path: str, parsed: argparse.Namespace) -> list[str]:
+    """The flag tokens of a config file's ``key = value`` lines, whose keys
+    are the long flag names in ``parsed`` (``n-points`` or ``n_points``).
+    A switch (a flag whose value is a bool) becomes the bare flag for
+    yes/true/1 and no token for no/false/0."""
+    try:
+        with open(path) as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    flags = vars(parsed).keys() - {"config", "handler"}
+    tokens = []
+    for line in filter(None, lines):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise DomainError(f"bad config line {line!r} in {path}")
+        key = key.replace("-", "_")
+        if key not in flags:
+            raise DomainError(f"unknown config key {key!r} in {path}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(parsed, key), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("yes", "true", "1"):
+            tokens.append(flag)
+        elif value.lower() not in ("no", "false", "0"):
+            raise DomainError(f"{key} takes yes/true/1 or no/false/0, got {value!r}")
+    return tokens
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Parses a subcommand's flags, and those of its ``--config`` file
+    placed ahead of them: argparse keeps the last value, so an explicit
+    flag wins over the file, and the file over the defaults."""
+
+    def parse_known_args(
+        self, args: Sequence[str], namespace: Optional[argparse.Namespace] = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        parsed, extras = super().parse_known_args(args, namespace)
+        path = getattr(parsed, "config", None)
+        if path is None:
+            return parsed, extras
+        tokens = _config_tokens(path, parsed)
+        return super().parse_known_args([*tokens, *args], namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetacasimir",
         description="Casimir stress-energy via local zeta regularization",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     sp = sub.add_parser("specfun", help="evaluate a special function")
     sp.add_argument(
@@ -295,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("profile", help="tensor table over an x3 grid")
     pp.add_argument("--config", type=str, default=None)
-    pp.add_argument("--a", type=float, default=None)
-    pp.add_argument("--xi", type=float, default=None)
-    pp.add_argument("--n-points", type=int, default=None)
-    pp.add_argument("--x3-min", type=float, default=None)
-    pp.add_argument("--x3-max", type=float, default=None)
-    pp.add_argument("--include-outside", action="store_true", default=None)
-    pp.add_argument("--format", choices=["csv", "json"], default=None)
-    pp.add_argument("--output", type=str, default=None)
+    pp.add_argument("--a", type=float, default=1.0)
+    pp.add_argument("--xi", type=float, default=0.0)
+    pp.add_argument("--n-points", type=int, default=9)
+    pp.add_argument("--x3-min", type=float, default=0.1)
+    pp.add_argument("--x3-max", type=float, default=0.9)
+    pp.add_argument("--include-outside", action="store_true")
+    pp.add_argument("--format", choices=["csv", "json"], default="csv")
+    pp.add_argument("--output", type=str, default="profile.csv")
     pp.set_defaults(handler=_cmd_profile)
 
     cp = sub.add_parser("convergence", help="brute force vs closed form")
@@ -320,69 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PROFILE_DEFAULTS = {
-    "a": 1.0,
-    "xi": 0.0,
-    "n_points": 9,
-    "x3_min": 0.1,
-    "x3_max": 0.9,
-    "include_outside": False,
-    "format": "csv",
-    "output": "profile.csv",
-}
-
-_PROFILE_CASTS = {
-    "a": float,
-    "xi": float,
-    "n_points": int,
-    "x3_min": float,
-    "x3_max": float,
-    "include_outside": lambda v: v.strip().lower() in ("1", "true", "yes"),
-    "format": str,
-    "output": str,
-}
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line {line!r} in {path}")
-            key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = raw.strip()
-    return values
-
-
-def _apply_profile_config(args: argparse.Namespace) -> None:
-    """Fill unset profile flags from the config file, then from defaults."""
-    from_file: dict[str, str] = {}
-    if args.config is not None:
-        try:
-            from_file = _load_config(args.config)
-        except OSError as exc:
-            raise DomainError(f"cannot read config {args.config}: {exc}") from exc
-    for key, default in _PROFILE_DEFAULTS.items():
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
-        if key in from_file:
-            setattr(args, key, _PROFILE_CASTS[key](from_file[key]))
-        else:
-            setattr(args, key, default)
-    unknown = set(from_file) - set(_PROFILE_DEFAULTS)
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.handler is _cmd_profile:
-            _apply_profile_config(args)
         return args.handler(args)
     except (ConvergenceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

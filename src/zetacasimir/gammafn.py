@@ -42,6 +42,33 @@ def is_nonpositive_integer(s: complex, tol: float = 0.0) -> bool:
     return n <= 0 and abs(s.real - n) <= tol
 
 
+def sin_pi(s: complex) -> complex:
+    """sin(pi s) with whole periods removed before the sine, so it is an
+    exact zero at the integers and keeps its relative accuracy next to
+    them; OverflowError where |sin(pi s)| leaves the float range."""
+    turns = round(s.real)  # sin(pi s) = (-1)^j sin(pi (s - j))
+    sign = -1.0 if turns % 2 else 1.0
+    return sign * cmath.sin(math.pi * (s - turns))
+
+
+def gamma_over_power(s: complex, c: float) -> complex:
+    """Gamma(s) / c^s for Re s >= 1/2 and c > 0, or inf where it
+    overflows; the power is folded into the Lanczos step, so Gamma(s)
+    itself may lie beyond the float range."""
+    x = s - 1.0
+    acc = _LANCZOS_COEFFS[0]
+    for k in range(1, len(_LANCZOS_COEFFS)):
+        acc += _LANCZOS_COEFFS[k] / (x + k)
+    t = x + _LANCZOS_G + 0.5
+    # (t/c)^(x+1/2) e^(-t) as two halves around e^(-t): no factor
+    # overflows before the product does
+    try:
+        half = (t / c) ** (0.5 * (x + 0.5))
+        return math.sqrt(2.0 * math.pi / c) * acc * half * (cmath.exp(-t) * half)
+    except OverflowError:
+        return complex(math.inf)
+
+
 def gamma(s: complex) -> complex:
     """Gamma(s) for complex s.
 
@@ -52,26 +79,26 @@ def gamma(s: complex) -> complex:
     s = complex(s)
     if is_nonpositive_integer(s):
         raise PoleError(f"Gamma pole at s = {s}")
-    if s.real < 0.5:
-        # Reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        sine = cmath.sin(math.pi * s)
-        try:
-            mirror = gamma(1.0 - s)
-        except DomainError:  # |Gamma(1-s)| overflows, so |Gamma(s)| underflows
-            return complex(math.copysign(0.0, sine.real), 0.0)
-        return math.pi / (sine * mirror)
-    x = s - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (x + k)
-    t = x + _LANCZOS_G + 0.5
-    # t^(x+1/2) e^(-t) as two halves around e^(-t): no factor overflows
-    # before the product does
+    if s.real >= 0.5:
+        value = gamma_over_power(s, 1.0)
+        if not cmath.isfinite(value):
+            raise DomainError(f"|Gamma(s)| overflows at s = {s}")
+        return value
+    # Reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
     try:
-        half = t ** (0.5 * (x + 0.5))
-        value = math.sqrt(2.0 * math.pi) * acc * half * (cmath.exp(-t) * half)
+        mirror = gamma(1.0 - s)
+    except DomainError:  # |Gamma(1-s)| overflows, so |Gamma(s)| underflows
+        return complex(math.copysign(0.0, sin_pi(s.real).real), 0.0)
+    if mirror == 0.0:  # |Gamma(1-s)| underflows at large |Im s|, so |Gamma(s)| does
+        return 0j
+    try:
+        return math.pi / (sin_pi(s) * mirror)
     except OverflowError:
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise DomainError(f"|Gamma(s)| overflows at s = {s}")
-    return value
+        # |Im s| > 226: with s = j + w and y = Im s, sin(pi s) is
+        # (-1)^j (i/2) sign(y) e^(-i sign(y) pi w) to double precision; its
+        # inverse goes in as two halves around the quotient, so neither
+        # underflows before Gamma(s) does
+        turns = round(s.real)
+        sign = math.copysign(1.0, s.imag) * (-1.0 if turns % 2 else 1.0)
+        half = cmath.exp(0.5j * math.copysign(math.pi, s.imag) * (s - turns))
+        return -2j * math.pi * sign * half / mirror * half

@@ -127,10 +127,11 @@ def _weights(u: complex, xi: float) -> tuple[tuple[complex, ...], tuple[complex,
 
 
 def regularized_coefficients(
-    u: complex, cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
+    u: complex, cfg: PlateConfig, p: EvalPoint
 ) -> RegularizedCoefficients:
     """A_u and B_u(x3) between the plates, valid wherever the continued
-    constituents exist; both are real at real u."""
+    constituents exist; both are real at real u.  zeta and Li_s run at
+    the pipeline tolerance ``polylog.DEFAULT_TOL``."""
     u = complex(u)
     if region_of(cfg.a, p.x3) is not Region.BETWEEN:
         raise DomainError(
@@ -140,9 +141,9 @@ def regularized_coefficients(
     _check_u_poles(u)
     c = _prefactor(u, cfg.a)
     s = u - 3.0
-    a_u = riemann_zeta(s, tol=tol) * c
+    a_u = riemann_zeta(s) * c
     z = cmath.exp(2j * math.pi * p.x3 / cfg.a)
-    b_u = (polylog(s, z, tol=tol) + polylog(s, z.conjugate(), tol=tol)) * c
+    b_u = (polylog(s, z) + polylog(s, z.conjugate())) * c
     if u.imag == 0.0:
         # Li_s(conj z) = conj Li_s(z) at real s: the imaginary part is
         # quadrature error
@@ -151,13 +152,11 @@ def regularized_coefficients(
     return RegularizedCoefficients(A_u=a_u, B_u=b_u)
 
 
-def regularized_vev(
-    u: complex, cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
-) -> TensorDiag:
+def regularized_vev(u: complex, cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
     """Diagonal regulated VEV assembled from A_u, B_u and the two weight
     matrices."""
     u = complex(u)
-    coeffs = regularized_coefficients(u, cfg, p, tol=tol)
+    coeffs = regularized_coefficients(u, cfg, p)
     alpha, beta = _weights(u, cfg.xi)
     comps = [al * coeffs.A_u + be * coeffs.B_u for al, be in zip(alpha, beta)]
     return TensorDiag(*comps)
@@ -362,8 +361,6 @@ def radial_integral_oracle(
     return pref * (2.0 * math.pi) * total
 
 
-def continuation_at_zero(
-    cfg: PlateConfig, p: EvalPoint, tol: float = 1e-10
-) -> TensorDiag:
+def continuation_at_zero(cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
     """Renormalized tensor: the regulated VEV continued to u = 0."""
-    return regularized_vev(0.0, cfg, p, tol=tol)
+    return regularized_vev(0.0, cfg, p)

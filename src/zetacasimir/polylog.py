@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gammafn import gamma, is_nonpositive_integer
+from .gammafn import gamma_over_power, is_nonpositive_integer, sin_pi
 from .hankel import polylog_hankel
 from .hurwitz import hurwitz_zeta
 
@@ -43,6 +43,10 @@ _SERIES_MAX_TERMS = 4_000_000
 # many terms; one Hankel pass costs less than a longer series.
 _SERIES_BUDGET = 16_384
 _EPS = 2.0**-53
+# The pipeline's one tolerance: zeta and Li_s default to it, the mode sum
+# is regularized at it through them, and ``cli`` reports it as the
+# ``strict`` profile and checks the ``convergence`` closed form against it.
+DEFAULT_TOL = 1e-10
 
 
 def series_domain(s: complex, z: complex) -> bool:
@@ -84,7 +88,7 @@ def _series_tail_bound(s: complex, z: complex, n: int) -> float:
     return (2.0 * abs(s) / (abs(1.0 - z) * s.real)) * n ** (-s.real)
 
 
-def polylog_series(s: complex, z: complex, tol: float = 1e-10) -> complex:
+def polylog_series(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     """Partial sum of the defining series with truncation remainder <= tol.
 
     Raises DomainError outside the convergence domain and ConvergenceError
@@ -158,24 +162,26 @@ def _zeta(s: complex, tol: float) -> complex:
     """Riemann zeta for s != 1: the Euler-Maclaurin engine for Re s > -1,
     and below it the reflection formula (DLMF 25.4.1)
 
-        zeta(s) = 2 (2 pi)^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
+        zeta(s) = 2 sin(pi s/2) Gamma(1-s) / (2 pi)^(1-s) zeta(1-s)
 
     onto the engine at Re(1-s) >= 2.  The sine is taken after removing
-    whole periods, so the trivial zeros come out as exact zeros.
+    whole periods, so the trivial zeros come out as exact zeros, and
+    Gamma(1-s) / (2 pi)^(1-s) is formed as one factor: Gamma(1-s) alone
+    leaves the float range below Re s = -170, long before zeta(s) does.
     """
     if s.real > -1.0:
         return hurwitz_zeta(s, 1.0, tol=tol)
-    half = 0.5 * s
-    turns = round(half.real)  # sin(pi h) = (-1)^j sin(pi (h - j))
-    sign = -1.0 if turns % 2 else 1.0
     try:
-        sine = sign * cmath.sin(math.pi * (half - turns))
+        sine = sin_pi(0.5 * s)
     except OverflowError as exc:
         raise DomainError(f"sin(pi s/2) leaves the float range at s = {s}") from exc
     if sine == 0.0:
         return 0.0 + 0.0j
-    factor = 2.0 * cmath.exp((s - 1.0) * math.log(2.0 * math.pi)) * sine
-    return factor * gamma(1.0 - s) * hurwitz_zeta(1.0 - s, 1.0, tol=tol)
+    ratio = gamma_over_power(1.0 - s, 2.0 * math.pi)
+    value = 2.0 * sine * ratio * hurwitz_zeta(1.0 - s, 1.0, tol=tol)
+    if not cmath.isfinite(value):
+        raise DomainError(f"|zeta(s)| overflows at s = {s}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +225,7 @@ def _polylog_pos_int(n: int, z: complex) -> complex:
                 return total
 
 
-def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
+def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     """Analytically continued Li_s(z) for |z| <= 1.
 
     Route selection: zeta at z = 1 (Euler-Maclaurin ``hurwitz_zeta`` for
@@ -250,7 +256,7 @@ def polylog(s: complex, z: complex, tol: float = 1e-10) -> complex:
     return polylog_hankel(s, z, tol=tol).value
 
 
-def riemann_zeta(s: complex, tol: float = 1e-10) -> complex:
+def riemann_zeta(s: complex, tol: float = DEFAULT_TOL) -> complex:
     """zeta(s) = Li_s(1), continued to all s != 1 (see ``polylog``)."""
     s = complex(s)
     if s == 1.0:

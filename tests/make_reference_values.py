@@ -1,4 +1,4 @@
-"""Write reference_values.json: zeta, Hurwitz zeta and Li_n from mpmath.
+"""Write reference_values.json: zeta, Hurwitz zeta, Li_n and Gamma from mpmath.
 
 Run from the root of a checkout with mpmath 1.3.0 installed:
 
@@ -28,6 +28,12 @@ ZETA_RE = (
     0.6, 0.8, 0.95, 0.999,
 )
 ZETA_IM = (0.0, 0.5, 1.3, -2.0, 2.0)
+# zeta(s) for Re s in [-200, -170], where Gamma(1-s) alone overflows but
+# zeta(s) does not; -200, -190 and -170 are trivial zeros
+ZETA_FAR_RE = (
+    -200.0, -197.3, -193.5, -190.0, -186.25, -183.1, -180.5, -177.7, -174.0,
+    -171.5, -170.0,
+)
 
 # zeta(s, q) for Re s in (-1, 1)
 HURWITZ_RE = (-0.999, -0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9, 0.999)
@@ -40,6 +46,11 @@ POLYLOG_N = (1, 2, 3, 4)
 POLYLOG_ABS = (1.0, 0.9999)
 POLYLOG_ARG = (1e-6, 0.01, 0.3, 1.0, 2.0, 2.9, math.pi, -0.7, -2.5)
 
+# Gamma(s) within 1e-6 of the poles -1 ... -5, and at |Im s| = 300, where
+# sin(pi s) leaves the float range
+GAMMA_POLE_OFFSETS = (1e-6, -1e-6, 3.7e-7, -1e-9, 1e-7j, 5e-7 - 5e-7j)
+GAMMA_MORE = (-3.0 + 1e-9, -2.0000001, -1.000001, -1.0 + 1e-7j, -0.5 + 300j, -0.5 - 300j)
+
 
 def pair(v) -> list[float]:
     v = complex(v)
@@ -50,7 +61,7 @@ def main() -> None:
     mpmath.mp.dps = 30
     zeta = [
         [*pair(complex(re, im)), *pair(mpmath.zeta(mpmath.mpc(re, im)))]
-        for re in ZETA_RE
+        for re in ZETA_RE + ZETA_FAR_RE
         for im in ZETA_IM
     ]
     hurwitz = [
@@ -65,7 +76,12 @@ def main() -> None:
             for theta in POLYLOG_ARG:
                 z = r * cmath.exp(1j * theta)
                 polylog.append([n, *pair(z), *pair(mpmath.polylog(n, mpmath.mpc(z)))])
-    tables = {"zeta": zeta, "hurwitz": hurwitz, "polylog": polylog}
+    gamma_args = [-k + d for k in range(1, 6) for d in GAMMA_POLE_OFFSETS]
+    gamma = [
+        [*pair(s), *pair(mpmath.gamma(mpmath.mpc(s)))]
+        for s in gamma_args + list(GAMMA_MORE)
+    ]
+    tables = {"zeta": zeta, "hurwitz": hurwitz, "polylog": polylog, "gamma": gamma}
     source = json.dumps(f"mpmath {mpmath.__version__} at {mpmath.mp.dps} digits")
     # one row per line, so a regenerated file diffs row by row
     parts = [f'{{\n"source": {source}']

@@ -78,6 +78,7 @@ class TestSpecfun:
             (["polygamma", "1e10", "1"], EXIT_DOMAIN),
             (["zeta", "1e300"], EXIT_OK),
             (["gamma", "-200.5"], EXIT_OK),
+            (["gamma", "--", "-0.5+500j"], EXIT_OK),  # Gamma(1-s) underflows
         ],
     )
     def test_non_finite_or_overflowing_input(self, capsys, argv, want):
@@ -99,6 +100,23 @@ class TestSpecfun:
         assert code == EXIT_OK
         want = 149774871.277934754838681857555
         assert abs(float(out.split()[0]) - want) <= 1e-13 * want
+
+    def test_gamma_where_sine_overflows(self, capsys):
+        # sin(pi s) leaves the float range above |Im s| ~ 226; mpmath 1.3.0
+        code, out, _ = run(capsys, "specfun", "gamma", "--", "-0.5+300j")
+        assert code == EXIT_OK
+        want = complex(-9.76004909162754138e-208, 1.56329835798589341e-207)
+        assert abs(complex(out.split()[0]) - want) <= 1e-13 * abs(want)
+
+    def test_zeta_where_gamma_overflows(self, capsys):
+        # Gamma(1 - s) overflows below Re s ~ -170, zeta(s) only below -259
+        code, out, _ = run(capsys, "specfun", "zeta", "--", "-180.5")
+        assert code == EXIT_OK
+        want = -5.1567927348837000276669221504e185  # mpmath 1.3.0
+        assert abs(float(out.split()[0]) - want) <= 1e-12 * abs(want)
+        code, out, err = run(capsys, "specfun", "zeta", "--", "-262.5")
+        assert code == EXIT_DOMAIN
+        assert out == "" and "overflows" in err
 
 
 class TestTensor:
@@ -265,6 +283,48 @@ class TestProfile:
         cfg.write_text("plates = 3\n")
         code, _, err = run(capsys, "profile", "--config", str(cfg))
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize(
+        "line", ["format = xml", "include_outside = maybe", "n-points = abc"]
+    )
+    def test_bad_config_value(self, capsys, tmp_path, line):
+        # argparse checks a config value as it checks the flag's
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "p.csv"
+        try:
+            code = run(capsys, "profile", "--config", str(cfg), "--output", str(out))[0]
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == EXIT_DOMAIN
+        assert not out.exists()
+
+    def test_malformed_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "profile", "--n-points", "abc")
+        assert exc.value.code == EXIT_DOMAIN
+
+    def test_config_switch_and_key_spellings(self, capsys, tmp_path):
+        cfg = tmp_path / "outside.cfg"
+        cfg.write_text(
+            "include_outside = yes\n"
+            "n_points = 2\n"
+            "x3-min = -0.5\n"
+            "x3_max = -0.25\n"
+            "format = json\n"
+        )
+        out = tmp_path / "p.json"
+        code, _, _ = run(capsys, "profile", "--config", str(cfg), "--output", str(out))
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["inputs"] == {
+            "a": 1.0, "xi": 0.0, "n_points": 2, "x3_min": -0.5, "x3_max": -0.25,
+            "include_outside": True,
+        }
+        assert [row["region"] for row in doc["rows"]] == ["left", "left"]
+        cfg.write_text("include-outside = no\nn-points = 2\nx3-min = -0.5\n")
+        code, _, _ = run(capsys, "profile", "--config", str(cfg), "--output", str(out))
+        assert code == EXIT_DOMAIN  # the switch stays off
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(
