@@ -10,11 +10,13 @@ Exit codes: 0 ok, 2 domain/validation error, 3 convergence error,
 shortest round-trip representation (<= 17 significant digits), rows are
 sorted, and the data section carries no timestamps.
 
-The environment variable ``ZETACASIMIR_TOLERANCE`` selects the tolerance
-``specfun`` evaluates at (``strict``, the default, ``polylog.DEFAULT_TOL``
-= 1e-10, or ``fast``, 1e-8).  Each ``key = value`` line of a ``profile
---config`` file becomes the token ``--key=value`` ahead of the flags, so
-argparse types and checks it as the flag, and an explicit flag wins.
+``specfun`` evaluates at the pipeline tolerance ``polylog.DEFAULT_TOL``
+(1e-10) and prints it after the value as ``tol=1e-10``; it reaches the
+series and contour routes of Li_s, while zeta, Hurwitz zeta and Gamma
+stop at fixed accuracies of their own.  Every float flag takes finite
+values only.  Each ``key = value`` line of a ``profile --config`` file
+becomes the token ``--key=value`` ahead of the flags, so argparse types
+and checks it as the flag, and an explicit flag wins.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import cmath
 import csv
 import json
 import math
-import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -48,18 +49,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
-
-_TOLERANCE_PROFILES = {"strict": DEFAULT_TOL, "fast": 1e-8}
-
-
-def tolerance_profile() -> float:
-    name = os.environ.get("ZETACASIMIR_TOLERANCE", "strict")
-    if name not in _TOLERANCE_PROFILES:
-        raise DomainError(
-            f"ZETACASIMIR_TOLERANCE must be one of {sorted(_TOLERANCE_PROFILES)}, "
-            f"got {name!r}"
-        )
-    return _TOLERANCE_PROFILES[name]
 
 
 def fmt(x: float) -> str:
@@ -86,6 +75,19 @@ def _parse_complex(text: str) -> complex:
     if not cmath.isfinite(value):
         raise DomainError(f"arguments must be finite, got {text!r}")
     return value
+
+
+def _real(value: complex, name: str) -> float:
+    if value.imag != 0.0:
+        raise DomainError(f"{name} must be real, got {_fmt_complex(value)}")
+    return value.real
+
+
+def _order(value: complex) -> int:
+    m = _real(value, "polygamma order")
+    if m != round(m):
+        raise DomainError(f"polygamma order must be an integer, got {fmt(m)}")
+    return round(m)
 
 
 def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[str, Any]:
@@ -126,7 +128,6 @@ def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[st
 # ----------------------------- subcommands -----------------------------
 
 def _cmd_specfun(args: argparse.Namespace) -> int:
-    tol = tolerance_profile()
     fn = args.function
     vals = [_parse_complex(v) for v in args.args]
 
@@ -136,20 +137,20 @@ def _cmd_specfun(args: argparse.Namespace) -> int:
 
     if fn == "polylog":
         need(2)
-        value = polylog(vals[0], vals[1], tol=tol)
+        value = polylog(vals[0], vals[1])
     elif fn == "zeta":
         need(1)
-        value = riemann_zeta(vals[0], tol=tol)
+        value = riemann_zeta(vals[0])
     elif fn == "hurwitz":
         need(2)
-        value = hurwitz_zeta(vals[0], vals[1].real)
+        value = hurwitz_zeta(vals[0], _real(vals[1], "q"))
     elif fn == "polygamma":
         need(2)
-        value = complex(polygamma(int(vals[0].real), vals[1].real))
+        value = complex(polygamma(_order(vals[0]), _real(vals[1], "q")))
     else:  # gamma
         need(1)
         value = gamma(vals[0])
-    print(f"{_fmt_complex(value)} tol={fmt(tol)}")
+    print(f"{_fmt_complex(value)} tol={fmt(DEFAULT_TOL)}")
     return EXIT_OK
 
 
@@ -180,6 +181,12 @@ def _profile_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
 _CSV_FIELDS = ["x3", "region", "t00", "t11", "t22", "t33", "B", "milton_B"]
 
 
+def _csv_cell(value: Any) -> str:
+    """A row value as CSV text: the region as it is, a number in round-trip
+    form and a missing value empty."""
+    return value if isinstance(value, str) else _fmt_optional(value)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     rows = _profile_rows(args)
     try:
@@ -188,18 +195,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 writer = csv.writer(fh)
                 writer.writerow(_CSV_FIELDS)
                 for row in rows:
-                    writer.writerow(
-                        [
-                            fmt(row["x3"]),
-                            row["region"],
-                            fmt(row["t00"]),
-                            fmt(row["t11"]),
-                            fmt(row["t22"]),
-                            fmt(row["t33"]),
-                            _fmt_optional(row["B"]),
-                            _fmt_optional(row["milton_B"]),
-                        ]
-                    )
+                    writer.writerow([_csv_cell(row[name]) for name in _CSV_FIELDS])
         else:
             report = {
                 "meta": {
@@ -265,11 +261,25 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
 
 # ------------------------------- parsing -------------------------------
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: NaN and +-inf are refused."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"no integer in {text!r}")
+    return values
 
 
 def _config_tokens(path: str, parsed: argparse.Namespace) -> list[str]:
@@ -336,18 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_specfun)
 
     tp = sub.add_parser("tensor", help="stress-energy at one point")
-    tp.add_argument("--a", type=float, required=True)
-    tp.add_argument("--xi", type=float, default=0.0)
-    tp.add_argument("--x3", type=float, required=True)
+    tp.add_argument("--a", type=_finite_float, required=True)
+    tp.add_argument("--xi", type=_finite_float, default=0.0)
+    tp.add_argument("--x3", type=_finite_float, required=True)
     tp.set_defaults(handler=_cmd_tensor)
 
     pp = sub.add_parser("profile", help="tensor table over an x3 grid")
     pp.add_argument("--config", type=str, default=None)
-    pp.add_argument("--a", type=float, default=1.0)
-    pp.add_argument("--xi", type=float, default=0.0)
+    pp.add_argument("--a", type=_finite_float, default=1.0)
+    pp.add_argument("--xi", type=_finite_float, default=0.0)
     pp.add_argument("--n-points", type=int, default=9)
-    pp.add_argument("--x3-min", type=float, default=0.1)
-    pp.add_argument("--x3-max", type=float, default=0.9)
+    pp.add_argument("--x3-min", type=_finite_float, default=0.1)
+    pp.add_argument("--x3-max", type=_finite_float, default=0.9)
     pp.add_argument("--include-outside", action="store_true")
     pp.add_argument("--format", choices=["csv", "json"], default="csv")
     pp.add_argument("--output", type=str, default="profile.csv")
@@ -355,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("convergence", help="brute force vs closed form")
     cp.add_argument("--u", type=str, required=True)
-    cp.add_argument("--xi", type=float, default=0.0)
-    cp.add_argument("--a", type=float, required=True)
-    cp.add_argument("--x3", type=float, required=True)
+    cp.add_argument("--xi", type=_finite_float, default=0.0)
+    cp.add_argument("--a", type=_finite_float, required=True)
+    cp.add_argument("--x3", type=_finite_float, required=True)
     cp.add_argument("--L-list", type=_int_list, required=True)
     cp.set_defaults(handler=_cmd_convergence)
 
     rp = sub.add_parser("pressure", help="force per unit area on the plates")
-    rp.add_argument("--a", type=float, required=True)
+    rp.add_argument("--a", type=_finite_float, required=True)
     rp.set_defaults(handler=_cmd_pressure)
 
     return parser

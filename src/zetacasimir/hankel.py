@@ -172,7 +172,8 @@ def polylog_hankel(
     s: complex,
     z: complex,
     radius: float | None = None,
-    tol: float = 1e-8,
+    *,
+    tol: float,
 ) -> HankelResult:
     """Li_s(z) by contour quadrature, for s not a positive integer.
 
@@ -203,7 +204,8 @@ def hankel_recip_gamma_check(
     s: complex,
     ell: int,
     radius: float | None = None,
-    tol: float = 1e-8,
+    *,
+    tol: float,
 ) -> HankelResult:
     r"""-(1/(2 pi i)) \int_H (-t)^(s-1) e^(-l t) dt.
 

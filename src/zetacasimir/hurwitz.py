@@ -35,16 +35,16 @@ _HALF_ULP = 2.0**-54
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def hurwitz_zeta(s: complex, q: float, tol: float = 1e-12) -> complex:
+def hurwitz_zeta(s: complex, q: float) -> complex:
     """zeta(s, q) = sum_{l>=0} (l+q)^(-s), continued to Re s > -1, q > 0.
 
     Direct summation of the first N = max(16, |s| + 8) terms plus the
     Euler-Maclaurin correction for the tail, so the cost grows linearly
-    with |s|.  The Bernoulli terms stop below tol, relative to the head
-    for Re s > 1 and absolute below; tol can tighten that stop but not
-    loosen it past 1e-12.  The error is ~1e-12 relative for Re s > 1 and
-    within 1e-13 max(1, |zeta|) for -1 < Re s < 1, |Im s| <= 2 (the
-    frozen mpmath table of the tests).  At real s where the terms past
+    with |s|.  The Bernoulli terms stop at a fixed 1e-12, relative to the
+    head for Re s > 1 and absolute below; no caller tolerance reaches the
+    stop.  The error is ~1e-12 relative for Re s > 1 and within
+    1e-13 max(1, |zeta|) for -1 < Re s < 1, |Im s| <= 2 (the frozen
+    mpmath table of the tests).  At real s where the terms past
     the first fall below half an ulp of it, that term alone is returned:
     the value the full sum rounds to.  PoleError at s = 1; DomainError
     for Re s <= -1, q <= 0, non-finite input, a first or tail term
@@ -77,7 +77,6 @@ def hurwitz_zeta(s: complex, q: float, tol: float = 1e-12) -> complex:
             f"hurwitz_zeta would sum {n} terms at s = {s}; |s| up to "
             f"{_MAX_TERMS - 8} is supported"
         )
-    tol = min(tol, 1e-12)
     head = sum((ell + q) ** (-s) for ell in range(n))
     w = n + q
     tail = w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
@@ -90,7 +89,7 @@ def hurwitz_zeta(s: complex, q: float, tol: float = 1e-12) -> complex:
     for k, b2k in enumerate(_BERNOULLI, start=1):
         term = b2k / math.factorial(2 * k) * fac * wpow
         correction += term
-        if abs(term) <= tol * scale:
+        if abs(term) <= 1e-12 * scale:
             break
         fac *= (s + 2 * k - 1) * (s + 2 * k)
         wpow /= w * w

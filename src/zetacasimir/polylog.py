@@ -43,9 +43,9 @@ _SERIES_MAX_TERMS = 4_000_000
 # many terms; one Hankel pass costs less than a longer series.
 _SERIES_BUDGET = 16_384
 _EPS = 2.0**-53
-# The pipeline's one tolerance: zeta and Li_s default to it, the mode sum
-# is regularized at it through them, and ``cli`` reports it as the
-# ``strict`` profile and checks the ``convergence`` closed form against it.
+# The pipeline's one tolerance: Li_s defaults to it, the mode sum is
+# regularized at it through Li_s, and ``cli`` evaluates ``specfun`` at it
+# and checks the ``convergence`` closed form against it.
 DEFAULT_TOL = 1e-10
 
 
@@ -158,7 +158,7 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     return num / (1.0 - z) ** (n + 1)
 
 
-def _zeta(s: complex, tol: float) -> complex:
+def _zeta(s: complex) -> complex:
     """Riemann zeta for s != 1: the Euler-Maclaurin engine for Re s > -1,
     and below it the reflection formula (DLMF 25.4.1)
 
@@ -170,7 +170,7 @@ def _zeta(s: complex, tol: float) -> complex:
     leaves the float range below Re s = -170, long before zeta(s) does.
     """
     if s.real > -1.0:
-        return hurwitz_zeta(s, 1.0, tol=tol)
+        return hurwitz_zeta(s, 1.0)
     try:
         sine = sin_pi(0.5 * s)
     except OverflowError as exc:
@@ -178,7 +178,7 @@ def _zeta(s: complex, tol: float) -> complex:
     if sine == 0.0:
         return 0.0 + 0.0j
     ratio = gamma_over_power(1.0 - s, 2.0 * math.pi)
-    value = 2.0 * sine * ratio * hurwitz_zeta(1.0 - s, 1.0, tol=tol)
+    value = 2.0 * sine * ratio * hurwitz_zeta(1.0 - s, 1.0)
     if not cmath.isfinite(value):
         raise DomainError(f"|zeta(s)| overflows at s = {s}")
     return value
@@ -186,9 +186,8 @@ def _zeta(s: complex, tol: float) -> complex:
 
 @lru_cache(maxsize=None)
 def _zeta_at_integer(m: int) -> float:
-    """zeta(m) for integer m != 1, the coefficients of the Li_n expansion,
-    to the engine's full accuracy."""
-    return _zeta(complex(m), 0.0).real
+    """zeta(m) for integer m != 1, the coefficients of the Li_n expansion."""
+    return _zeta(complex(m)).real
 
 
 def _polylog_pos_int(n: int, z: complex) -> complex:
@@ -232,17 +231,18 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     Re s > -1, the reflection formula below); exact rational form at
     non-positive integer s; the power series where it certifies tol
     within its term budget; the expansion in log z at positive integer
-    s; keyhole contour quadrature otherwise.  The contour route checks
-    tol on the value it returns and raises QuadratureError where it
-    cannot meet it.  The zeta route sums about |s| terms directly, so its
-    cost grows linearly with |s|.
+    s; keyhole contour quadrature otherwise.  tol acts only on the series
+    and the contour, which checks it on the value it returns and raises
+    QuadratureError where it cannot meet it; zeta stops at the engine's
+    fixed 1e-12, and the other two routes run to rounding.  The zeta route
+    sums about |s| terms directly, so its cost grows linearly with |s|.
     """
     s = complex(s)
     z = complex(z)
     if abs(z) > 1.0 + 1e-14:
         raise DomainError(f"polylog requires |z| <= 1, got |z| = {abs(z)}")
     if z == 1.0:
-        return _zeta(s, tol)
+        return _zeta(s)
 
     if is_nonpositive_integer(s, tol=1e-12):
         return polylog_neg_int(-round(s.real), z)
@@ -256,9 +256,9 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     return polylog_hankel(s, z, tol=tol).value
 
 
-def riemann_zeta(s: complex, tol: float = DEFAULT_TOL) -> complex:
-    """zeta(s) = Li_s(1), continued to all s != 1 (see ``polylog``)."""
+def riemann_zeta(s: complex) -> complex:
+    """zeta(s) = Li_s(1) for all s != 1, at the engine's fixed stop (see ``polylog``)."""
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has its only pole at s = 1")
-    return polylog(s, 1.0, tol=tol)
+    return polylog(s, 1.0)

@@ -87,6 +87,20 @@ class TestSpecfun:
         if want == EXIT_DOMAIN:
             assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polygamma", "2.5", "1"],  # printed psi''(1)
+            ["polygamma", "1+1j", "1"],  # printed psi'(1)
+            ["hurwitz", "2", "0.5+1j"],  # printed zeta(2, 0.5)
+            ["polygamma", "1", "0.5+1j"],
+        ],
+    )
+    def test_argument_parts_are_not_dropped(self, capsys, argv):
+        code, out, err = run(capsys, "specfun", *argv)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:")
+
     def test_underflowing_gamma_is_signed_zero(self, capsys):
         _, out, _ = run(capsys, "specfun", "gamma", "-200.5")
         assert out.split()[0] == "-0.0"
@@ -180,6 +194,39 @@ class TestTensor:
     def test_zero_separation_rejected(self, capsys):
         code, _, err = run(capsys, "tensor", "--a", "0", "--x3", "0.5")
         assert code == EXIT_DOMAIN
+
+
+# each subcommand with its required flags; a repeated flag keeps the last value
+_BASE_ARGV = {
+    "tensor": ["--a", "1", "--x3", "0.5"],
+    "profile": [],
+    "convergence": ["--u", "5", "--a", "1", "--x3", "0.5", "--L-list", "10"],
+    "pressure": ["--a", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("tensor", "--a"),
+        ("tensor", "--xi"),
+        ("tensor", "--x3"),
+        ("profile", "--a"),
+        ("profile", "--xi"),
+        ("profile", "--x3-min"),
+        ("profile", "--x3-max"),
+        ("convergence", "--a"),
+        ("convergence", "--xi"),
+        ("convergence", "--x3"),
+        ("pressure", "--a"),
+    ],
+)
+def test_non_finite_float_flag_exits_2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, *_BASE_ARGV[command], f"{flag}={value}")
+    assert exc.value.code == EXIT_DOMAIN
+    assert capsys.readouterr().out == ""
 
 
 class TestProfile:
@@ -285,7 +332,7 @@ class TestProfile:
         assert code == EXIT_DOMAIN
 
     @pytest.mark.parametrize(
-        "line", ["format = xml", "include_outside = maybe", "n-points = abc"]
+        "line", ["format = xml", "include_outside = maybe", "n-points = abc", "xi = nan"]
     )
     def test_bad_config_value(self, capsys, tmp_path, line):
         # argparse checks a config value as it checks the flag's
@@ -334,22 +381,11 @@ class TestProfile:
 
 
 class TestToleranceProfile:
-    def test_fast_profile_changes_reported_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETACASIMIR_TOLERANCE", "fast")
-        code, out, _ = run(capsys, "specfun", "zeta", "2")
-        assert code == EXIT_OK
-        assert "tol=1e-08" in out
-
-    def test_default_is_strict(self, capsys, monkeypatch):
-        monkeypatch.delenv("ZETACASIMIR_TOLERANCE", raising=False)
+    def test_default_is_strict(self, capsys):
+        # specfun reports the pipeline tolerance it evaluates at
         code, out, _ = run(capsys, "specfun", "zeta", "2")
         assert code == EXIT_OK
         assert "tol=1e-10" in out
-
-    def test_unknown_profile_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETACASIMIR_TOLERANCE", "sloppy")
-        code, _, err = run(capsys, "specfun", "zeta", "2")
-        assert code == EXIT_DOMAIN
 
 
 class TestConvergence:
@@ -418,6 +454,16 @@ class TestConvergence:
         )
         assert code == EXIT_DOMAIN
         assert out == ""
+
+    @pytest.mark.parametrize("ells", [",", ""])
+    def test_empty_truncation_list_rejected(self, capsys, ells):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                capsys, "convergence", "--u", "5", "--a", "1", "--x3", "0.5",
+                f"--L-list={ells}",
+            )
+        assert exc.value.code == EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
 
     def test_nonconvergent_regulator_rejected(self, capsys):
         code, _, err = run(

@@ -1,8 +1,9 @@
-"""Guards on the package as a whole: clean compilation, a light import
-and the public functions the benchmark trace wraps."""
+"""Guards on the package as a whole: clean compilation, a light import,
+the public functions the benchmark trace wraps and one default tolerance."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -50,3 +51,23 @@ def test_traced_functions_exist():
     for name in traced:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"zetacasimir.{module}"), function)), name
+
+
+def test_tolerance_defaults():
+    # a tolerance defaults to the pipeline's one value or must be passed
+    modules = [
+        importlib.import_module(f"zetacasimir.{name}")
+        for name in ("polylog", "hurwitz", "hankel")
+    ]
+    default = modules[0].DEFAULT_TOL
+    checked = []
+    for module in modules:
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            tol = inspect.signature(fn).parameters.get("tol")
+            if tol is None:
+                continue
+            checked.append(name)
+            assert tol.default in (default, inspect.Parameter.empty), name
+    assert "polylog" in checked and "polylog_hankel" in checked
