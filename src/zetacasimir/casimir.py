@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .hurwitz import hurwitz_zeta
-from .modesum import EvalPoint, PlateConfig, Region, TensorDiag, region_of
+from .modesum import EvalPoint, PlateConfig, Region, TensorDiag, _require_between, region_of
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def coefficient_B_cosine(a: float, x3: float) -> float:
 
 def renormalized_coefficients(cfg: PlateConfig, p: EvalPoint) -> RenormalizedCoefficients:
     """A and B(x3) between the plates, B in its sine form."""
-    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
-        raise DomainError(f"x3 = {p.x3} is outside the plates; B is defined between them")
+    _require_between(cfg.a, p.x3, "B is defined")
     return RenormalizedCoefficients(A=coefficient_A(cfg.a), B=coefficient_B(cfg.a, p.x3))
 
 
@@ -109,8 +108,7 @@ def milton_B(cfg: PlateConfig, p: EvalPoint) -> float:
     """Hurwitz-zeta representation of B(x3); must coincide with the
     trigonometric closed form.  DomainError where zeta(4, q), a^4 or B
     leaves the float range."""
-    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
-        raise DomainError(f"x3 = {p.x3} is outside the plates; B is defined between them")
+    _require_between(cfg.a, p.x3, "B is defined")
     # q at the nearer plate, as in coefficient_B: 1 - x3/a would keep few
     # digits of the distance next to the far plate
     q = min(p.x3, cfg.a - p.x3) / cfg.a

@@ -1,8 +1,11 @@
 """Complex Gamma function via a Lanczos rational approximation.
 
-The approximation uses the 15-term coefficient set with g = 607/128
-(relative accuracy close to machine precision for |s| <= 20); arguments
-with Re s < 1/2 go through the reflection formula.
+The approximation uses the 15-term coefficient set with g = 607/128;
+arguments with Re s < 1/2 go through the reflection formula.  On
+Re s in [-170, 170], |Im s| <= 20, at least 1e-3 from the poles and
+where |Gamma(s)| >= 1e-300, the result is within 1e-13 |Gamma(s)| of
+mpmath (the frozen reference table of the tests; worst 8.2e-14, at
+Re s near -127).
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def gamma(s: complex) -> complex:
     if mirror == 0.0:  # |Gamma(1-s)| underflows at large |Im s|, so |Gamma(s)| does
         return 0j
     try:
-        return math.pi / (sin_pi(s) * mirror)
+        value = math.pi / (sin_pi(s) * mirror)
     except OverflowError:
         # |Im s| > 226: with s = j + w and y = Im s, sin(pi s) is
         # (-1)^j (i/2) sign(y) e^(-i sign(y) pi w) to double precision; its
@@ -102,3 +105,6 @@ def gamma(s: complex) -> complex:
         sign = math.copysign(1.0, s.imag) * (-1.0 if turns % 2 else 1.0)
         half = cmath.exp(0.5j * math.copysign(math.pi, s.imag) * (s - turns))
         return -2j * math.pi * sign * half / mirror * half
+    if not cmath.isfinite(value):  # next to the pole at 0
+        raise DomainError(f"|Gamma(s)| overflows at s = {s}")
+    return value

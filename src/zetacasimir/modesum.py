@@ -12,7 +12,9 @@ diag(-1-2(u-3)xi, 1-u/2+2(u-3)xi, same, 0).  For Re u > 4 the underlying
 mode sum converges and a truncated brute-force evaluation with a
 certified tail bound is provided as an oracle, together with a rawer
 radial-quadrature oracle for the energy density that validates the
-analytic polar integration step.
+analytic polar integration step: one complex QUADPACK quadrature per
+transverse mode, at a fixed relative tolerance.  Neither oracle takes
+more than u, the plates, the point and the truncation order L.
 
 The two polylogarithms in B_u are a conjugate pair: at real u,
 Li_s(conj z) = conj Li_s(z), so B_u is real and its imaginary part,
@@ -25,7 +27,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ METRIC_DIAG = (-1.0, 1.0, 1.0, 1.0)
 
 _ROW = 1024  # terms per row of the brute-force angle-addition tables
 _CHUNK_ROWS = 128  # rows per brute-force chunk: 2^17 terms
+_RADIAL_TOL = 1e-9  # relative tolerance of each radial-oracle quadrature
 
 
 class Region(enum.Enum):
@@ -55,6 +57,13 @@ def region_of(a: float, x3: float) -> Region:
     if 0.0 < x3 < a:
         return Region.BETWEEN
     raise DomainError(f"x3 = {x3} lies exactly on a plate")
+
+
+def _require_between(a: float, x3: float, defined: str) -> None:
+    """DomainError unless x3 lies between the plates, naming what is
+    defined only there."""
+    if region_of(a, x3) is not Region.BETWEEN:
+        raise DomainError(f"x3 = {x3} is outside the plates; {defined} between them")
 
 
 @dataclass(frozen=True)
@@ -133,11 +142,7 @@ def regularized_coefficients(
     constituents exist; both are real at real u.  zeta and Li_s run at
     the pipeline tolerance ``polylog.DEFAULT_TOL``."""
     u = complex(u)
-    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
-        raise DomainError(
-            f"x3 = {p.x3} is outside the plates; the regularized "
-            "coefficients are defined between them"
-        )
+    _require_between(cfg.a, p.x3, "the regularized coefficients are defined")
     _check_u_poles(u)
     c = _prefactor(u, cfg.a)
     s = u - 3.0
@@ -163,10 +168,7 @@ def regularized_vev(u: complex, cfg: PlateConfig, p: EvalPoint) -> TensorDiag:
 
 
 def _partial_mode_sums(
-    u: complex,
-    phase: float,
-    stops: list[int],
-    progress: Optional[Callable[[int, int], None]] = None,
+    u: complex, phase: float, stops: list[int]
 ) -> dict[int, tuple[complex, complex]]:
     """Partial sums S1(L) = sum_{l<=L} l^(3-u) and
     S2(L) = sum_{l<=L} 2 cos(l phase) l^(3-u) at every L in stops, from one
@@ -177,9 +179,7 @@ def _partial_mode_sums(
     sin k phase], k < _ROW, reduces every row at once, and angle addition
     turns each row's table sums into its share of S2.  The rows are added
     in order, and a row cut by a stop is reduced on its own, so S(L) has
-    the same bits whichever other stops share the pass.  The progress
-    callback runs after each chunk of _CHUNK_ROWS rows with (terms_done,
-    largest stop).
+    the same bits whichever other stops share the pass.
     """
     stops = sorted(set(stops))
     if not stops:
@@ -236,27 +236,17 @@ def _partial_mode_sums(
                 total = total + shares(reduce(cut)[0], cos0[r], sin0[r])
             out[stop] = (complex(total[0]), complex(total[1]))
         acc = prefix[-1]
-        if progress is not None:
-            progress(lo + n, last)
     return out
 
 
 def _bruteforce_results(
-    u: complex,
-    cfg: PlateConfig,
-    p: EvalPoint,
-    stops: list[int],
-    progress: Optional[Callable[[int, int], None]] = None,
+    u: complex, cfg: PlateConfig, p: EvalPoint, stops: list[int]
 ) -> dict[int, ModeSumResult]:
     """mode_sum_bruteforce at every L in stops, from one pass."""
     u = complex(u)
     if u.real <= 4.0:
         raise DomainError(f"mode sum converges only for Re u > 4, got u = {u}")
-    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
-        raise DomainError(
-            f"x3 = {p.x3} is outside the plates; the mode sum is defined "
-            "between them"
-        )
+    _require_between(cfg.a, p.x3, "the mode sum is defined")
     if any(L < 1 for L in stops):
         raise DomainError("truncation order L must be >= 1")
 
@@ -264,7 +254,7 @@ def _bruteforce_results(
     c = _prefactor(u, cfg.a)
     alpha, beta = _weights(u, cfg.xi)
     results = {}
-    for L, (s1, s2) in _partial_mode_sums(u, phase, stops, progress).items():
+    for L, (s1, s2) in _partial_mode_sums(u, phase, stops).items():
         comps = [c * (al * s1 + be * s2) for al, be in zip(alpha, beta)]
         # tail: sum_{l>L} l^(3-Re u) <= L^(4-Re u)/(Re u - 4); |cos| <= 1
         envelope = L ** (4.0 - u.real) / (u.real - 4.0)
@@ -277,44 +267,31 @@ def _bruteforce_results(
 
 
 def mode_sum_bruteforce(
-    u: complex,
-    cfg: PlateConfig,
-    p: EvalPoint,
-    L: int,
-    progress: Optional[Callable[[int, int], None]] = None,
+    u: complex, cfg: PlateConfig, p: EvalPoint, L: int
 ) -> ModeSumResult:
-    """Truncated mode sum with a certified integral-comparison tail bound.
-
-    Only valid in the convergent regime Re u > 4.  The optional progress
-    callback is invoked at chunk boundaries with (terms_done, L) and may
-    raise to cancel the computation cooperatively.
+    """Truncated mode sum S(L) with a certified integral-comparison tail
+    bound, one pass over the L terms.  Only valid in the convergent
+    regime Re u > 4.
     """
-    return _bruteforce_results(u, cfg, p, [L], progress)[L]
+    return _bruteforce_results(u, cfg, p, [L])[L]
 
 
 def radial_integral_oracle(
-    u: complex,
-    cfg: PlateConfig,
-    p: EvalPoint,
-    L: int,
-    tol: float = 1e-9,
-    progress: Optional[Callable[[int, int], None]] = None,
+    u: complex, cfg: PlateConfig, p: EvalPoint, L: int
 ) -> complex:
     """Energy density t00 from the pre-integration (rho, theta) form.
 
-    Performs the radial improper integral numerically (QUADPACK) for each
-    of the first L transverse modes; the angular integral is the factor
+    Performs the radial improper integral of each of the first L
+    transverse modes as one complex QUADPACK quadrature at relative
+    tolerance _RADIAL_TOL, and raises QuadratureError where the reported
+    error exceeds 1e3 times that; the angular integral is the factor
     2 pi, since the integrand carries no theta dependence.  Validates the
     analytic polar-coordinates step against mode_sum_bruteforce.
     """
     u = complex(u)
     if u.real <= 4.0:
         raise DomainError(f"radial oracle requires Re u > 4, got u = {u}")
-    if region_of(cfg.a, p.x3) is not Region.BETWEEN:
-        raise DomainError(
-            f"x3 = {p.x3} is outside the plates; the radial oracle is "
-            "defined between them"
-        )
+    _require_between(cfg.a, p.x3, "the radial oracle is defined")
     # scipy serves this oracle alone, so the package imports it only here
     from scipy import integrate
 
@@ -325,34 +302,23 @@ def radial_integral_oracle(
     for ell in range(1, L + 1):
         cos_phi = math.cos(phase * ell)
 
-        def integrand(rho: float, part: str) -> float:
+        def integrand(rho: float) -> complex:
             base = rho * (
                 rho * rho + ell * ell
                 - (rho * rho + 4.0 * xi * ell * ell) * cos_phi
             )
-            val = base * (rho * rho + ell * ell) ** (-(u + 1.0) / 2.0)
-            return val.real if part == "re" else val.imag
+            return base * (rho * rho + ell * ell) ** (-(u + 1.0) / 2.0)
 
-        re_val, re_err = integrate.quad(
-            integrand, 0.0, np.inf, args=("re",), epsabs=0.0, epsrel=tol,
-            limit=200,
+        val, err = integrate.quad(
+            integrand, 0.0, np.inf, epsabs=0.0, epsrel=_RADIAL_TOL, limit=200,
+            complex_func=True,
         )
-        if u.imag != 0.0:
-            im_val, im_err = integrate.quad(
-                integrand, 0.0, np.inf, args=("im",), epsabs=0.0, epsrel=tol,
-                limit=200,
-            )
-        else:
-            im_val, im_err = 0.0, 0.0
-        scale = max(abs(complex(re_val, im_val)), 1e-300)
-        if (re_err + im_err) > 1e3 * tol * scale:
+        err = abs(err.real) + abs(err.imag)
+        if err > 1e3 * _RADIAL_TOL * max(abs(val), 1e-300):
             raise QuadratureError(
-                f"radial integral for mode {ell} reported error "
-                f"{re_err + im_err:.3e}"
+                f"radial integral for mode {ell} reported error {err:.3e}"
             )
-        total += complex(re_val, im_val)
-        if progress is not None:
-            progress(ell, L)
+        total += val
 
     pref = 1.0 / (
         8.0 * math.pi ** 2 * cmath.exp((u - 3.0) * cmath.log(math.pi))

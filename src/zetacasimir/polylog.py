@@ -20,8 +20,9 @@ Every zeta value comes from one engine: the Euler-Maclaurin
 series only when the certified bound meets the tolerance within 16 384
 terms (``_SERIES_BUDGET``); otherwise the log z expansion at positive
 integer order and one Hankel pass at any other, both faster and more
-accurate than a longer series.  ``polylog_series`` keeps its 4M-term
-cap for direct callers and as an oracle.
+accurate than a longer series.  Where that pass misses the tolerance
+inside the series domain, the series runs past the budget, up to its
+4M-term cap.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, QuadratureError
 from .gammafn import gamma_over_power, is_nonpositive_integer, sin_pi
 from .hankel import polylog_hankel
 from .hurwitz import hurwitz_zeta
@@ -232,10 +233,13 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     non-positive integer s; the power series where it certifies tol
     within its term budget; the expansion in log z at positive integer
     s; keyhole contour quadrature otherwise.  tol acts only on the series
-    and the contour, which checks it on the value it returns and raises
-    QuadratureError where it cannot meet it; zeta stops at the engine's
-    fixed 1e-12, and the other two routes run to rounding.  The zeta route
-    sums about |s| terms directly, so its cost grows linearly with |s|.
+    and the contour, which checks it on the value it returns.  Where the
+    contour misses tol and the series converges at (s, z), the series
+    runs past its budget up to its 4M-term cap (ConvergenceError beyond
+    it); elsewhere the contour's QuadratureError is raised.  zeta stops
+    at the engine's fixed 1e-12, and the other two routes run to
+    rounding.  The zeta route sums about |s| terms directly, so its cost
+    grows linearly with |s|.
     """
     s = complex(s)
     z = complex(z)
@@ -253,7 +257,14 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
         return _polylog_pos_int(round(s.real), z)
 
-    return polylog_hankel(s, z, tol=tol).value
+    try:
+        return polylog_hankel(s, z, tol=tol).value
+    except QuadratureError:
+        if not series_domain(s, z):
+            raise
+        # the contour misses tol at large |Im s| and next to a pole of its
+        # Gamma(1 - s) prefactor; the series, past its budget, still converges
+        return polylog_series(s, z, tol=tol)
 
 
 def riemann_zeta(s: complex) -> complex:

@@ -65,11 +65,30 @@ COEFF_FIXED_DRAWS = 6
 # sin(pi s) leaves the float range
 GAMMA_POLE_OFFSETS = (1e-6, -1e-6, 3.7e-7, -1e-9, 1e-7j, 5e-7 - 5e-7j)
 GAMMA_MORE = (-3.0 + 1e-9, -2.0000001, -1.000001, -1.0 + 1e-7j, -0.5 + 300j, -0.5 - 300j)
+# Gamma(s) over its stated domain: random s, half of them real, in each
+# band of Re s with |Im s| <= 20, kept 1e-3 from the poles; draws where
+# |Gamma| < 1e-300 are skipped, since relative accuracy means nothing there
+GAMMA_BANDS = ((-170.0, -100.0), (-100.0, -20.0), (-20.0, 0.0), (0.0, 20.0), (20.0, 100.0),
+               (100.0, 170.0))
+GAMMA_BAND_DRAWS = 48
 
 
 def pair(v) -> list[float]:
     v = complex(v)
     return [v.real, v.imag]
+
+
+def gamma_band_args() -> list[complex]:
+    rng = random.Random(10)
+    args = []
+    for lo, hi in GAMMA_BANDS:
+        for k in range(GAMMA_BAND_DRAWS):
+            im = 0.0 if k % 2 == 0 else round(rng.uniform(-20.0, 20.0), 4)
+            s = complex(round(rng.uniform(lo, hi), 4), im)
+            pole = min(round(s.real), 0)
+            if abs(s - pole) >= 1e-3 and abs(mpmath.gamma(mpmath.mpc(s))) >= 1e-300:
+                args.append(s)
+    return args
 
 
 def polylog_s_rows() -> list[list[float]]:
@@ -145,7 +164,7 @@ def main() -> None:
     gamma_args = [-k + d for k in range(1, 6) for d in GAMMA_POLE_OFFSETS]
     gamma = [
         [*pair(s), *pair(mpmath.gamma(mpmath.mpc(s)))]
-        for s in gamma_args + list(GAMMA_MORE)
+        for s in gamma_args + list(GAMMA_MORE) + gamma_band_args()
     ]
     tables = {
         "zeta": zeta,

@@ -57,6 +57,20 @@ class TestSpecfun:
         assert code == EXIT_CONVERGENCE
         assert out == "" and "error:" in err
 
+    # Li_s(-1) from mpmath 1.3.0 at 30 digits, rounded to double
+    @pytest.mark.parametrize(
+        "s,want",
+        [
+            ("2.5+30j", -1.076435240323578 - 0.07785211576751637j),
+            ("2.000000001", -0.8224670335254298),
+        ],
+        ids=["2.5+30j", "2.000000001"],
+    )
+    def test_contour_miss_falls_back_to_series(self, capsys, s, want):
+        code, out, _ = run(capsys, "specfun", "polylog", "--", s, "-1")
+        assert code == EXIT_OK
+        assert abs(complex(out.split()[0]) - want) <= 1e-10 * (1.0 + abs(want))
+
     def test_gamma_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "specfun", "gamma", "0")
         assert code == EXIT_DOMAIN
@@ -79,6 +93,9 @@ class TestSpecfun:
             (["zeta", "1e300"], EXIT_OK),
             (["gamma", "-200.5"], EXIT_OK),
             (["gamma", "--", "-0.5+500j"], EXIT_OK),  # Gamma(1-s) underflows
+            (["gamma", "1e-320"], EXIT_DOMAIN),  # Gamma overflows next to the pole at 0
+            (["gamma", "--", "-1e-320"], EXIT_DOMAIN),
+            (["gamma", "5e-324"], EXIT_DOMAIN),
         ],
     )
     def test_non_finite_or_overflowing_input(self, capsys, argv, want):
@@ -446,6 +463,15 @@ class TestConvergence:
         )
         assert code == EXIT_CONVERGENCE
         assert out.splitlines()[1].endswith(" FAIL")
+
+    def test_large_imaginary_regulator(self, capsys):
+        # B_u needs Li_(2.5+30i)(-1), where the contour does not converge
+        code, out, _ = run(
+            capsys, "convergence", "--u", "5.5+30j", "--a", "1", "--x3", "0.5",
+            "--L-list", "1000",
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1].endswith(" ok")
 
     def test_bad_truncation_order_rejected_before_any_row(self, capsys):
         code, out, _ = run(

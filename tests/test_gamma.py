@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from zetacasimir import PoleError, gamma
+from zetacasimir import DomainError, PoleError, gamma
 
 
 def test_integer_values():
@@ -49,3 +49,10 @@ def test_accuracy_against_known_large_value():
 def test_conjugate_symmetry():
     s = 3.2 + 1.4j
     assert gamma(s.conjugate()) == pytest.approx(gamma(s).conjugate(), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1e-320, -1e-320, 5e-324, 1e-320j])
+def test_overflow_next_to_zero_raises(s):
+    # pi / (sin(pi s) Gamma(1 - s)) overflows although s is no pole
+    with pytest.raises(DomainError, match="overflows"):
+        gamma(s)

@@ -1,5 +1,6 @@
 """Guards on the package as a whole: clean compilation, a light import,
-the public functions the benchmark trace wraps and one default tolerance."""
+the public functions the benchmark trace wraps, one default tolerance
+and the named set of optional parameters."""
 
 import ast
 import importlib
@@ -71,3 +72,26 @@ def test_tolerance_defaults():
             checked.append(name)
             assert tol.default in (default, inspect.Parameter.empty), name
     assert "polylog" in checked and "polylog_hankel" in checked
+
+
+def test_optional_parameters():
+    # every knob a caller may leave out; a new one has to be named here
+    optional = set()
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"zetacasimir.{path.stem}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            optional |= {
+                f"{path.stem}.{name}.{param.name}"
+                for param in inspect.signature(fn).parameters.values()
+                if param.default is not inspect.Parameter.empty
+            }
+    assert optional == {
+        "polylog.polylog.tol",
+        "polylog.polylog_series.tol",
+        "hankel.polylog_hankel.radius",
+        "hankel.hankel_recip_gamma_check.radius",
+        "gammafn.is_nonpositive_integer.tol",
+        "cli.main.argv",
+    }
