@@ -21,8 +21,8 @@ series only when the certified bound meets the tolerance within 16 384
 terms (``_SERIES_BUDGET``); otherwise the log z expansion at positive
 integer order and one Hankel pass at any other, both faster and more
 accurate than a longer series.  Where that pass misses the tolerance
-inside the series domain, the series runs past the budget, up to its
-4M-term cap.
+at Re s > 0 inside the series domain, the series runs past the budget,
+up to its 4M-term cap.
 """
 
 from __future__ import annotations
@@ -234,9 +234,10 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     within its term budget; the expansion in log z at positive integer
     s; keyhole contour quadrature otherwise.  tol acts only on the series
     and the contour, which checks it on the value it returns.  Where the
-    contour misses tol and the series converges at (s, z), the series
-    runs past its budget up to its 4M-term cap (ConvergenceError beyond
-    it); elsewhere the contour's QuadratureError is raised.  zeta stops
+    contour misses tol at Re s > 0 and the series converges at (s, z),
+    the series runs past its budget up to its 4M-term cap
+    (ConvergenceError beyond it); elsewhere, Re s <= 0 included, the
+    contour's QuadratureError is raised.  zeta stops
     at the engine's fixed 1e-12, and the other two routes run to
     rounding.  The zeta route sums about |s| terms directly, so its cost
     grows linearly with |s|.
@@ -260,10 +261,12 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     try:
         return polylog_hankel(s, z, tol=tol).value
     except QuadratureError:
-        if not series_domain(s, z):
-            raise
         # the contour misses tol at large |Im s| and next to a pole of its
-        # Gamma(1 - s) prefactor; the series, past its budget, still converges
+        # Gamma(1 - s) prefactor.  At Re s > 0 no series term exceeds 1, so
+        # the certified tail also bounds the error; at Re s <= 0 the terms
+        # peak far above Li_s and their rounding would go unseen
+        if not (s.real > 0.0 and series_domain(s, z)):
+            raise
         return polylog_series(s, z, tol=tol)
 
 

@@ -57,6 +57,12 @@ class TestSpecfun:
         assert code == EXIT_CONVERGENCE
         assert out == "" and "error:" in err
 
+    def test_missed_tolerance_inside_the_disk(self, capsys):
+        # the series converges here, but at Re s <= 0 it cannot stand in
+        code, out, err = run(capsys, "specfun", "polylog", "--", "-20.3", "-0.9999")
+        assert code == EXIT_CONVERGENCE
+        assert out == "" and "error:" in err
+
     # Li_s(-1) from mpmath 1.3.0 at 30 digits, rounded to double
     @pytest.mark.parametrize(
         "s,want",

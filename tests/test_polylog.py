@@ -171,6 +171,12 @@ class TestContourTolerance:
         with pytest.raises(QuadratureError):
             polylog(-20.3, -1.0)
 
+    def test_large_prefactor_inside_the_disk_raises(self):
+        # the series converges at |z| < 1, but at Re s <= 0 its terms peak
+        # near 1e98 against |Li_s| ~ 1e8: the miss stays an error
+        with pytest.raises(QuadratureError):
+            polylog(-20.3, -0.9999)
+
     @pytest.mark.parametrize("s", [2.0 + 1e-9, 2.0 - 1e-9])
     @pytest.mark.parametrize("z", [-1.0, cmath.exp(1.0j)])
     def test_next_to_prefactor_pole_uses_series(self, s, z):
