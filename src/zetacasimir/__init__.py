@@ -12,6 +12,7 @@ Layers:
 from .casimir import (
     PressureVector,
     RenormalizedCoefficients,
+    TensorGrid,
     coefficient_A,
     coefficient_B,
     coefficient_B_cosine,
@@ -20,6 +21,7 @@ from .casimir import (
     renormalized_coefficients,
     single_plate_limit_check,
     tensor_between_plates,
+    tensor_grid,
     tensor_outside,
 )
 from .errors import (
@@ -70,6 +72,7 @@ __all__ = [
     "RegularizedCoefficients",
     "RenormalizedCoefficients",
     "TensorDiag",
+    "TensorGrid",
     "ZetaCasimirError",
     "coefficient_A",
     "coefficient_B",
@@ -95,5 +98,6 @@ __all__ = [
     "series_domain",
     "single_plate_limit_check",
     "tensor_between_plates",
+    "tensor_grid",
     "tensor_outside",
 ]

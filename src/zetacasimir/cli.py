@@ -8,7 +8,10 @@ and ``pressure``.
 Exit codes: 0 ok, 2 domain/validation error, 3 convergence error,
 4 I/O failure.  Output is deterministic: floats are printed with
 shortest round-trip representation (<= 17 significant digits), rows are
-sorted, and the data section carries no timestamps.
+sorted, and the data section carries no timestamps.  ``profile`` evaluates its
+grid as arrays (``casimir.tensor_grid``) and formats each column once;
+the first point without a row, in grid order, raises the error the
+point-wise functions give there.
 
 ``specfun`` evaluates at the pipeline tolerance ``polylog.DEFAULT_TOL``
 (1e-10) and prints it after the value as ``tol=1e-10``; it reaches the
@@ -27,10 +30,13 @@ import csv
 import json
 import math
 import sys
-from typing import Any, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterator, NoReturn, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
-from .casimir import milton_B, pressure, renormalized_coefficients, tensor_outside
+from .casimir import TensorGrid, pressure, tensor_between_plates, tensor_grid, tensor_outside
 from .errors import ConvergenceError, DomainError, QuadratureError, ZetaCasimirError
 from .gammafn import gamma
 from .hurwitz import hurwitz_zeta, polygamma
@@ -54,10 +60,6 @@ EXIT_IO = 4
 def fmt(x: float) -> str:
     """Shortest round-trip decimal form, capped at 17 significant digits."""
     return repr(float(x))
-
-
-def _fmt_optional(x: Optional[float]) -> str:
-    return "" if x is None else fmt(x)
 
 
 def _fmt_complex(v: complex) -> str:
@@ -90,10 +92,10 @@ def _order(value: complex) -> int:
     return round(m)
 
 
-def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[str, Any]:
-    """Region, tensor, B and milton_B at one point; B and milton_B are
-    None outside the plates, milton_B also where the Hurwitz form leaves
-    the float range, and a point on a plate is a validation error."""
+def _raise_point_error(a: float, xi: float, x3: float, include_outside: bool) -> NoReturn:
+    """The DomainError of a grid point without a row, from the point-wise
+    checks in their order: a point on a plate, outside the plates without
+    the flag, a <= 0, then A, B or the outside tensor overflowing."""
     region = region_of(a, x3)
     if region is not Region.BETWEEN and not include_outside:
         raise DomainError(
@@ -101,28 +103,25 @@ def _point_row(a: float, xi: float, x3: float, include_outside: bool) -> dict[st
             "--include-outside to allow it"
         )
     cfg, p = PlateConfig(a=a, xi=xi), EvalPoint(x3)
-    b: Optional[float] = None
-    mb: Optional[float] = None
     if region is Region.BETWEEN:
-        coeffs = renormalized_coefficients(cfg, p)
-        t = coeffs.tensor(xi)
-        b = coeffs.B
-        try:
-            mb = milton_B(cfg, p)
-        except DomainError:  # the Hurwitz form leaves the float range: no cross-check
-            pass
+        tensor_between_plates(cfg, p)
     else:
-        t = tensor_outside(cfg, p)
-    return {
-        "x3": x3,
-        "region": region.value,
-        "t00": complex(t.t00).real,
-        "t11": complex(t.t11).real,
-        "t22": complex(t.t22).real,
-        "t33": complex(t.t33).real,
-        "B": b,
-        "milton_B": mb,
-    }
+        tensor_outside(cfg, p)
+    raise AssertionError(f"tensor_grid fails at x3 = {x3}, the point-wise functions do not")
+
+
+def _grid(a: float, xi: float, x3: np.ndarray, include_outside: bool) -> TensorGrid:
+    """tensor_grid over x3, every point of which must have a row: the
+    first in grid order that has none raises its DomainError."""
+    if a > 0.0:  # else PlateConfig refuses every point, after its own checks
+        grid = tensor_grid(PlateConfig(a=a, xi=xi), x3)
+        failed = grid.failed
+        if not include_outside:
+            failed = failed | (grid.region != Region.BETWEEN.value)
+        if not failed.any():
+            return grid
+        x3 = x3[failed]
+    _raise_point_error(a, xi, x3[0].item(), include_outside)
 
 
 # ----------------------------- subcommands -----------------------------
@@ -154,71 +153,99 @@ def _cmd_specfun(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the text of a nan (a missing value) and of +-inf, where fmt's differs
+_CSV_NAMES = {"nan": ""}
+_JSON_NAMES = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cells(column: np.ndarray, names: dict[str, str]) -> Iterator[str]:
+    """fmt of each value, or its name in ``names``, made lazily."""
+    cells = map(repr, column.tolist())
+    if np.isfinite(column).all():
+        return cells
+    return (names.get(cell, cell) for cell in cells)
+
+
+def _columns(x3: np.ndarray, grid: TensorGrid, names: dict[str, str]) -> list[Iterator[str]]:
+    """The text of each column, in _CSV_FIELDS order."""
+    numbers = [_cells(c, names) for c in (x3, *grid.tensor.as_tuple(), grid.B, grid.milton_B)]
+    return [numbers[0], iter(grid.region.tolist()), *numbers[1:]]
+
+
 def _cmd_tensor(args: argparse.Namespace) -> int:
-    row = _point_row(args.a, args.xi, args.x3, include_outside=True)
+    x3 = np.array([args.x3])
+    grid = _grid(args.a, args.xi, x3, include_outside=True)
     p0, _ = pressure(PlateConfig(a=args.a))
-    print(f"region={row['region']}")
-    for name in ("t00", "t11", "t22", "t33"):
-        print(f"{name}={fmt(row[name])}")
-    print(f"B={_fmt_optional(row['B'])} milton_B={_fmt_optional(row['milton_B'])}")
+    _, region, *numbers = map(next, _columns(x3, grid, _CSV_NAMES))
+    print(f"region={region}")
+    for name, cell in zip(("t00", "t11", "t22", "t33"), numbers):
+        print(f"{name}={cell}")
+    print(f"B={numbers[4]} milton_B={numbers[5]}")
     print(f"pressure_magnitude={fmt(abs(p0.p3))}")
     return EXIT_OK
 
 
-def _profile_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
+def _profile_x3(args: argparse.Namespace) -> np.ndarray:
     if args.n_points < 1:
         raise DomainError("n-points must be >= 1")
     if not args.x3_min < args.x3_max:
         raise DomainError("x3-min must be smaller than x3-max")
     if args.n_points == 1:
-        grid = [0.5 * (args.x3_min + args.x3_max)]
-    else:
-        step = (args.x3_max - args.x3_min) / (args.n_points - 1)
-        grid = [args.x3_min + i * step for i in range(args.n_points)]
-    return [_point_row(args.a, args.xi, x3, args.include_outside) for x3 in sorted(grid)]
+        return np.array([0.5 * (args.x3_min + args.x3_max)])
+    # ascending, as x3_min + i * step rounds monotonically in i; where the
+    # step overflows, 0 * inf puts a nan first, as Python floats do
+    step = (args.x3_max - args.x3_min) / (args.n_points - 1)
+    with np.errstate(invalid="ignore"):
+        return args.x3_min + np.arange(args.n_points) * step
 
 
 _CSV_FIELDS = ["x3", "region", "t00", "t11", "t22", "t33", "B", "milton_B"]
-
-
-def _csv_cell(value: Any) -> str:
-    """A row value as CSV text: the region as it is, a number in round-trip
-    form and a missing value empty."""
-    return value if isinstance(value, str) else _fmt_optional(value)
+# one row of the JSON report, as json.dump(indent=2, sort_keys=True) writes
+# it, after the separator from the row before
+_JSON_ROW = (
+    '{}    {{\n      "B": {},\n      "milton_B": {},\n      "region": "{}",\n'
+    '      "t00": {},\n      "t11": {},\n      "t22": {},\n      "t33": {},\n'
+    '      "x3": {}\n    }}'
+)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    rows = _profile_rows(args)
+    x3 = _profile_x3(args)
+    grid = _grid(args.a, args.xi, x3, args.include_outside)
     try:
         if args.format == "csv":
+            columns = _columns(x3, grid, _CSV_NAMES)
             with open(args.output, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(_CSV_FIELDS)
-                for row in rows:
-                    writer.writerow([_csv_cell(row[name]) for name in _CSV_FIELDS])
+                writer.writerows(zip(*columns))
         else:
-            report = {
-                "meta": {
-                    "tool": "zetacasimir",
-                    "version": __version__,
-                    "inputs": {
-                        "a": args.a,
-                        "xi": args.xi,
-                        "n_points": args.n_points,
-                        "x3_min": args.x3_min,
-                        "x3_max": args.x3_max,
-                        "include_outside": args.include_outside,
-                    },
+            meta = {
+                "tool": "zetacasimir",
+                "version": __version__,
+                "inputs": {
+                    "a": args.a,
+                    "xi": args.xi,
+                    "n_points": args.n_points,
+                    "x3_min": args.x3_min,
+                    "x3_max": args.x3_max,
+                    "include_outside": args.include_outside,
                 },
-                "rows": rows,
             }
+            x3_text, region, t00, t11, t22, t33, b, mb = _columns(x3, grid, _JSON_NAMES)
+            separators = chain(["\n"], repeat(",\n"))
             with open(args.output, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                # {"meta": ...} without its closing "\n}", then the rows
+                fh.write(json.dumps({"meta": meta}, indent=2, sort_keys=True)[:-2])
+                fh.write(',\n  "rows": [')
+                fh.writelines(
+                    map(_JSON_ROW.format, separators, b, mb, region, t00, t11, t22, t33, x3_text)
+                )
+                fh.write("\n  ]\n}\n")
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(rows)} rows to {args.output}")
+    print(f"wrote {len(x3)} rows to {args.output}")
     return EXIT_OK
 
 

@@ -18,11 +18,12 @@ Every zeta value comes from one engine: the Euler-Maclaurin
 ``hurwitz_zeta(s, 1)`` for Re s > -1, and the reflection formula onto
 ``hurwitz_zeta(1 - s, 1)`` below.  Off z = 1 ``polylog`` takes the
 series only when the certified bound meets the tolerance within 16 384
-terms (``_SERIES_BUDGET``); otherwise the log z expansion at positive
-integer order and one Hankel pass at any other, both faster and more
-accurate than a longer series.  Where that pass misses the tolerance
-at Re s > 0 inside the series domain, the series runs past the budget,
-up to its 4M-term cap.
+terms (``_SERIES_BUDGET``) and no term exceeds 1 in modulus, so that the
+rounding of the sum stays below the bound; otherwise the log z
+expansion at positive integer order and one Hankel pass at any other,
+both faster and more accurate than a longer series.  Where that pass
+misses the tolerance inside the series domain and no term exceeds 1,
+the series runs past the budget, up to its 4M-term cap.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ def series_domain(s: complex, z: complex) -> bool:
     if z == 1.0:
         return s.real > 1.0
     return s.real > 0.0
+
+
+def _terms_at_most_one(s: complex, z: complex) -> bool:
+    """Whether no term z^n / n^s of the series exceeds 1 in modulus, so
+    that the rounding of its sum stays within eps per term.  At
+    p = -Re s > 0 the terms peak near n* = p / (-log|z|), at
+    n*^p |z|^n* = (n*/e)^p, so the rule is n* <= e: Re s >= e log|z|."""
+    az = abs(z)
+    return az == 0.0 or s.real >= math.e * math.log(az)
 
 
 def _series_tail_bound(s: complex, z: complex, n: int) -> float:
@@ -231,13 +241,15 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     Route selection: zeta at z = 1 (Euler-Maclaurin ``hurwitz_zeta`` for
     Re s > -1, the reflection formula below); exact rational form at
     non-positive integer s; the power series where it certifies tol
-    within its term budget; the expansion in log z at positive integer
-    s; keyhole contour quadrature otherwise.  tol acts only on the series
-    and the contour, which checks it on the value it returns.  Where the
-    contour misses tol at Re s > 0 and the series converges at (s, z),
-    the series runs past its budget up to its 4M-term cap
-    (ConvergenceError beyond it); elsewhere, Re s <= 0 included, the
-    contour's QuadratureError is raised.  zeta stops
+    within its term budget and no term exceeds 1 in modulus (at
+    Re s < 0 the terms grow to (n*/e)^(-Re s) at n* = Re s / log|z|, so
+    this needs Re s >= e log|z|); the expansion in log z at positive
+    integer s; keyhole contour quadrature otherwise.  tol acts only on
+    the series and the contour, which checks it on the value it returns.
+    Where the contour misses tol and the series converges at (s, z) with
+    no term above 1, the series runs past its budget up to its 4M-term
+    cap (ConvergenceError beyond it); elsewhere the contour's
+    QuadratureError is raised.  zeta stops
     at the engine's fixed 1e-12, and the other two routes run to
     rounding.  The zeta route sums about |s| terms directly, so its cost
     grows linearly with |s|.
@@ -252,7 +264,11 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
     if is_nonpositive_integer(s, tol=1e-12):
         return polylog_neg_int(-round(s.real), z)
 
-    if series_domain(s, z) and _series_tail_bound(s, z, _SERIES_BUDGET) <= tol:
+    if (
+        series_domain(s, z)
+        and _terms_at_most_one(s, z)
+        and _series_tail_bound(s, z, _SERIES_BUDGET) <= tol
+    ):
         return polylog_series(s, z, tol=tol)
 
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
@@ -262,10 +278,10 @@ def polylog(s: complex, z: complex, tol: float = DEFAULT_TOL) -> complex:
         return polylog_hankel(s, z, tol=tol).value
     except QuadratureError:
         # the contour misses tol at large |Im s| and next to a pole of its
-        # Gamma(1 - s) prefactor.  At Re s > 0 no series term exceeds 1, so
-        # the certified tail also bounds the error; at Re s <= 0 the terms
-        # peak far above Li_s and their rounding would go unseen
-        if not (s.real > 0.0 and series_domain(s, z)):
+        # Gamma(1 - s) prefactor.  Where no series term exceeds 1, the
+        # certified tail also bounds the error; where the terms peak far
+        # above Li_s, their rounding would go unseen
+        if not (series_domain(s, z) and _terms_at_most_one(s, z)):
             raise
         return polylog_series(s, z, tol=tol)
 

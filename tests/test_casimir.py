@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from zetacasimir import (
@@ -15,6 +16,7 @@ from zetacasimir import (
     renormalized_coefficients,
     single_plate_limit_check,
     tensor_between_plates,
+    tensor_grid,
     tensor_outside,
 )
 
@@ -227,3 +229,49 @@ class TestPressure:
         a0, _ = pressure(cfg_between(xi=0.0))
         a1, _ = pressure(cfg_between(xi=1.0))
         assert a0 == a1
+
+
+class TestTensorGrid:
+    """tensor_grid is the point-wise code over an array: each value equals
+    the point-wise one bit for bit, and ``failed`` marks the points where
+    the point-wise functions raise."""
+
+    @staticmethod
+    def point_wise(cfg, x3):
+        """region, t00..t33, B and milton_B at x3, as their repr."""
+        p = EvalPoint(x3)
+        if not 0.0 < x3 < cfg.a:
+            label = "left" if x3 < 0.0 else "right"
+            return [label, *map(repr, tensor_outside(cfg, p).as_tuple()), "nan", "nan"]
+        try:
+            mb = milton_B(cfg, p)
+        except DomainError:  # the Hurwitz form leaves the float range
+            mb = math.nan
+        t = tensor_between_plates(cfg, p).as_tuple()
+        return ["between", *map(repr, (*t, coefficient_B(cfg.a, x3), mb))]
+
+    @pytest.mark.parametrize("a,xi", [(1.0, 0.0), (0.37, 0.9), (6.1, 1.0 / 6.0), (1e80, 0.3)])
+    def test_equals_point_wise_functions(self, a, xi):
+        rng = np.random.default_rng(7)
+        x3 = a * np.concatenate([
+            rng.uniform(-2.0, 3.0, 200),
+            10.0 ** rng.uniform(-13.0, -1.0, 100),  # next to the plate at 0
+            1.0 - 10.0 ** rng.uniform(-13.0, -1.0, 100),  # next to the plate at a
+        ])
+        cfg = PlateConfig(a=a, xi=xi)
+        grid = tensor_grid(cfg, x3)
+        assert not grid.failed.any()
+        got = zip(
+            grid.region.tolist(),
+            *(map(repr, c.tolist()) for c in (*grid.tensor.as_tuple(), grid.B, grid.milton_B)),
+        )
+        assert [list(row) for row in got] == [self.point_wise(cfg, v) for v in x3.tolist()]
+
+    def test_failed_where_point_wise_functions_raise(self):
+        x3 = np.array([0.0, 1e-100, 0.5, 1.0, -1e-100, math.nan, 2.0])
+        grid = tensor_grid(cfg_between(), x3)
+        assert grid.failed.tolist() == [True, True, False, True, True, True, False]
+        assert grid.region.tolist() == ["", "between", "between", "", "left", "", "right"]
+        # A overflows: every point between the plates fails
+        grid = tensor_grid(cfg_between(a=1e-100), np.array([-1.0, 5e-101]))
+        assert grid.failed.tolist() == [False, True]

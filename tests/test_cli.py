@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -56,6 +57,13 @@ class TestSpecfun:
         code, out, err = run(capsys, "specfun", "polylog", "--", "-20.3", "-1")
         assert code == EXIT_CONVERGENCE
         assert out == "" and "error:" in err
+
+    def test_negative_order_inside_the_disk(self, capsys):
+        # the series would return -0.386 - 1.090i here
+        code, out, _ = run(capsys, "specfun", "polylog", "--", "-5.3", "-0.99")
+        assert code == EXIT_OK
+        want = -0.268285373482904514816047359675  # mpmath 1.3.0
+        assert abs(complex(out.split()[0]) - want) <= 1e-10 * (1.0 + abs(want))
 
     def test_missed_tolerance_inside_the_disk(self, capsys):
         # the series converges here, but at Re s <= 0 it cannot stand in
@@ -401,6 +409,166 @@ class TestProfile:
             capsys, "profile", "--config", str(tmp_path / "nope.cfg"),
         )
         assert code == EXIT_DOMAIN
+
+
+# profile grids pinned by the sha256 of their CSV and JSON files, frozen from
+# the row-by-row implementation (commit 5a8754a); the grid is now taken in
+# one array pass and must keep every byte
+PINNED_GRIDS = {
+    # like the benchmark's between-plates grids
+    "between": ["--a", "2.37", "--xi", "0.41", "--n-points", "2000",
+                "--x3-min", "0.474", "--x3-max", "2.1567"],
+    "left": ["--a", "0.8", "--xi", "0.9", "--n-points", "700",
+             "--x3-min=-0.4", "--x3-max=-0.008", "--include-outside"],
+    "right": ["--a", "5.5", "--xi", "0.05", "--n-points", "600",
+              "--x3-min", "5.6", "--x3-max", "8.2", "--include-outside"],
+    # both plates and all three regions in one grid
+    "span": ["--a", "1", "--xi", "0.5", "--n-points", "1001",
+             "--x3-min=-3", "--x3-max", "4", "--include-outside"],
+    # down to x3/a = 1e-12: zeta(4, q) returns its first term alone below q ~ 8e-5
+    "near_plate": ["--a", "1.3", "--xi", "0.2", "--n-points", "1000",
+                   "--x3-min", "1.3e-12", "--x3-max", "1.3e-4"],
+    # a^4 overflows: B from the plate images, milton_B empty
+    "huge_a": ["--a", "1e80", "--xi", "0.7", "--n-points", "400",
+               "--x3-min", "1e70", "--x3-max", "9.9e79"],
+    # sin^4 underflows below x3/a ~ 4e-78 (the images again), and zeta(4, q)
+    # overflows below q ~ 1e-77 (milton_B empty)
+    "underflowing_sine": ["--a", "1e10", "--n-points", "400",
+                          "--x3-min", "1e-72", "--x3-max", "1e-60"],
+    # the far field underflows to signed zeros
+    "far_field": ["--a", "1", "--xi", "0.3", "--n-points", "50",
+                  "--x3-min=-1e300", "--x3-max=-1e299", "--include-outside"],
+    "one_point": ["--a", "1", "--n-points", "1", "--x3-min", "0.1", "--x3-max", "0.3"],
+    # (1 - 6 xi) B overflows: the tensor prints +-inf (+-Infinity in JSON)
+    "overflowing_tensor": ["--a", "1e-70", "--xi=-1e300", "--n-points", "50",
+                           "--x3-min", "1e-72", "--x3-max", "9e-71"],
+}
+
+# grids without a file: the first bad point in grid order gives the error
+# that the row-by-row implementation gave
+FAILING_GRIDS = {
+    "on_plate": ["--a", "1", "--n-points", "3", "--x3-min", "0", "--x3-max", "1",
+                 "--include-outside"],
+    "outside_without_flag": ["--a", "1", "--n-points", "5", "--x3-min", "0.5", "--x3-max", "2"],
+    "a_overflows": ["--a", "1e-80", "--n-points", "5", "--x3-min", "1e-82", "--x3-max", "9e-81"],
+    "b_overflows": ["--a", "1", "--n-points", "5", "--x3-min", "1e-100", "--x3-max", "0.5"],
+    "b_overflows_before_outside": ["--a", "1", "--n-points", "5", "--x3-min", "1e-100",
+                                   "--x3-max", "3"],
+    "outside_before_b_overflows": ["--a", "1", "--n-points", "5", "--x3-min=-3",
+                                   "--x3-max", "1e-100"],
+    "outside_tensor_overflows": ["--a", "1", "--n-points", "4", "--x3-min=-1e-100",
+                                 "--x3-max=-1e-101", "--include-outside"],
+    "right_tensor_overflows": ["--a", "1e-100", "--n-points", "3",
+                               "--x3-min", "1.0000000000000002e-100", "--x3-max", "1e-99",
+                               "--include-outside"],
+    "zero_separation": ["--a", "0", "--n-points", "3", "--x3-min=-1", "--x3-max", "1",
+                        "--include-outside"],
+    "step_overflows": ["--a", "1", "--n-points", "3", "--x3-min=-1e308", "--x3-max", "1e308",
+                       "--include-outside"],
+}
+
+PINNED_DIGESTS = {
+    "between": (
+        "ae6935ab6b17ab9ff495f587646aec4a3e647b8ccbe14699a2086dac49ba4a99",
+        "12bb59b7e123ef1967f525fc5ac2306e7557d7b9d7e1fc122bf308d3bea70376",
+    ),
+    "left": (
+        "305b82369266b5fef54b47114ace23ac9e51046fba7f38e6eea0a56555123256",
+        "185ed725714afc52962945cbc18c173836ed7876f0ef78a37d93d7098f8bc280",
+    ),
+    "right": (
+        "f38a35e8dfc81da8b41d87d485cab0271b2dc29085522afdf5e4f808e302f68d",
+        "ea81b27b93ffaefcd1c71a436afb12101a94b865820606bc17aa0d7f86eb414f",
+    ),
+    "span": (
+        "2db55064fb6d6cab2c64e51c1faeff1114eed312a37df74fd8299f8ea96ceec4",
+        "9d9809eb36fa73203a2e67da0928af36a59fa41529d1cc474c2c81a2ff5e5b17",
+    ),
+    "near_plate": (
+        "10f2fe8192c55d74ae527efda4013fb67898409c924a2f002a973cf7d158a37d",
+        "2b7cfcf48a1a0af20858991986b2aa5afaa13bab0079357333ad33450c89df1e",
+    ),
+    "huge_a": (
+        "fdf4a2e9f8bf3d165ad94567f6d06040e16ba1d8f2b28a65670199fd9d07be88",
+        "b350dee9f1e9bb629d1a1d8fa626aeb40c755e40c9392bdd12a2f0e89a8fe374",
+    ),
+    "underflowing_sine": (
+        "ea3ea4014b8f1c04c94c874e81d374b5f3ea5a666f963d26f383cd2606f5c6ce",
+        "8d6991655b6a2909d85afa6814d130515b4573bf9600c40afd501be06feb6efd",
+    ),
+    "far_field": (
+        "479b01570cd3f7dbd50dfb4cf4fc101756f1d4bf233827aee9499bbb91895191",
+        "48e93c83784324453be661cfee83b424ef03caad112895794b192623714cca37",
+    ),
+    "overflowing_tensor": (
+        "8d77bd6586ae8163faa8ba2581c75f36a5c84ef3cf8591645f78a03a1990fbec",
+        "c0ea7e98f472224915b014f8c65e5e6529fe9f4c36cbee77e61f2339d6b42437",
+    ),
+    "one_point": (
+        "68d1c2d6de351d3bdeb966d9e9d8209ae919bc705bf66a34933e708a01e2ed82",
+        "93dc8cc9ad64352922cf00a1f839773ad96f0389f45c677068c835f7b6c02ae0",
+    ),
+}
+
+FAILING_ERRORS = {
+    "on_plate": (
+        2, 'error: x3 = 0.0 lies exactly on a plate'
+    ),
+    "outside_without_flag": (
+        2, 'error: grid point x3 = 1.25 is outside the plates; pass --include-outside to allow it'
+    ),
+    "a_overflows": (
+        2, 'error: A overflows at a = 1e-80'
+    ),
+    "b_overflows": (
+        2, 'error: B overflows at x3/a = 1e-100'
+    ),
+    "b_overflows_before_outside": (
+        2, 'error: B overflows at x3/a = 1e-100'
+    ),
+    "outside_before_b_overflows": (
+        2, 'error: grid point x3 = -3.0 is outside the plates; pass --include-outside to allow it'
+    ),
+    "outside_tensor_overflows": (
+        2, 'error: the tensor overflows at distance 1e-100 from the plate'
+    ),
+    "right_tensor_overflows": (
+        2, 'error: the tensor overflows at distance 1.2689709186578246e-116 from the plate'
+    ),
+    "zero_separation": (
+        2, 'error: plate separation must be positive, got 0.0'
+    ),
+    "step_overflows": (
+        2, 'error: x3 = nan lies exactly on a plate'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
+def test_profile_bytes_match_parent(capsys, tmp_path, name, fmt_name):
+    out = tmp_path / f"p.{fmt_name}"
+    code, _, err = run(
+        capsys, "profile", *PINNED_GRIDS[name], "--format", fmt_name, "--output", str(out)
+    )
+    assert (code, err) == (EXIT_OK, "")
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_DIGESTS[name][fmt_name == "json"]
+    if fmt_name == "json":  # json.dump is the oracle of the streamed rows
+        text = data.decode()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(FAILING_GRIDS))
+def test_profile_errors_match_parent(capsys, tmp_path, name, fmt_name):
+    out = tmp_path / f"p.{fmt_name}"
+    code, stdout, err = run(
+        capsys, "profile", *FAILING_GRIDS[name], "--format", fmt_name, "--output", str(out)
+    )
+    want_code, want_err = FAILING_ERRORS[name]
+    assert (code, stdout, err) == (want_code, "", want_err + "\n")
+    assert not out.exists()
 
 
 class TestToleranceProfile:

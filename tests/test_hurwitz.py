@@ -70,6 +70,84 @@ class TestHurwitzZeta:
             hurwitz_zeta(1e300, 0.5)
 
 
+def _first_term_edge(s):
+    """The largest q at which hurwitz_zeta(s, q) returns its first term alone:
+    the q bisected on its early-return test, (q/(1+q))^s (1 + (1+q)/(s-1))
+    <= 2^-54."""
+    lo, hi = 1e-12, 1.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (mid / (1.0 + mid)) ** s * (1.0 + (1.0 + mid) / (s - 1.0)) <= 2.0**-54:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _scalar_real(s, q):
+    try:
+        return hurwitz_zeta(s, q).real
+    except DomainError:  # zeta(s, q) overflows
+        return math.inf
+
+
+class TestArrayArgument:
+    """An ndarray q takes the scalar arithmetic element by element, so each
+    element is the scalar call's real part bit for bit."""
+
+    @staticmethod
+    def q_draws(s):
+        rng = np.random.default_rng(20)
+        edge = _first_term_edge(s)
+        near_edge = [edge]
+        for _ in range(8):
+            near_edge = [np.nextafter(near_edge[0], 0.0), *near_edge, np.nextafter(near_edge[-1], 1.0)]
+        ulp = 2.0**-53
+        return np.concatenate([
+            10.0 ** rng.uniform(-12.0, 0.0, 3000),  # log-uniform in [1e-12, 1)
+            rng.uniform(0.2 * edge, 3.0 * edge, 1000),  # the early-return band and past it
+            near_edge,  # the last q that returns the first term, and 8 ulp on each side
+            [1.0 - ulp, 1.0 - 2.0 * ulp, 1.0, 1e-17],  # 1 - q within 1 ulp of 1, where n = 16
+            10.0 ** rng.uniform(-100.0, -77.0, 50),  # overflows at s = 4
+        ])
+
+    @pytest.mark.parametrize("s", [4.0, 2.5, 7.0, 120.0])
+    def test_equals_scalar_calls_bit_for_bit(self, s):
+        q = self.q_draws(s)
+        got = hurwitz_zeta(s, q)
+        assert got.dtype == np.float64 and got.shape == q.shape
+        want = [_scalar_real(s, v) for v in q.tolist()]
+        mismatched = [(v, g, w) for v, g, w in zip(q.tolist(), got.tolist(), want) if g != w]
+        assert mismatched == []
+
+    def test_both_sides_of_the_early_return(self):
+        edge = _first_term_edge(4.0)
+        past = np.nextafter(edge, 1.0)
+        got = hurwitz_zeta(4.0, np.array([edge, past]))
+        assert got[0] == (edge + 0j) ** -4.0
+        assert got[1] == hurwitz_zeta(4.0, past).real
+
+    def test_overflow_is_inf_where_the_scalar_raises(self):
+        got = hurwitz_zeta(4.0, np.array([1e-78, 0.5]))
+        assert got[0] == math.inf and got[1] == hurwitz_zeta(4.0, 0.5).real
+        with pytest.raises(DomainError, match="overflows"):
+            hurwitz_zeta(4.0, 1e-78)
+
+    def test_shape_kept(self):
+        q = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert hurwitz_zeta(4.0, q).tolist() == [
+            [hurwitz_zeta(4.0, v).real for v in row] for row in q.tolist()
+        ]
+
+    def test_domain_errors(self):
+        for q in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError, match="q must be positive"):
+                hurwitz_zeta(4.0, np.array([0.5, q]))
+        for s in (1.0, 0.5, 2.0 + 1.0j, math.inf):
+            with pytest.raises(DomainError, match="real s > 1"):
+                hurwitz_zeta(s, np.array([0.5]))
+
+
 class TestPolygamma:
     def test_tetragamma_at_one(self):
         # 6 zeta(4) = pi^4/15

@@ -1,6 +1,7 @@
 """Guards on the package as a whole: clean compilation, a light import,
-the public functions the benchmark trace wraps, one default tolerance
-and the named set of optional parameters."""
+the public functions the benchmark trace wraps, one default tolerance,
+the named set of optional parameters and a profile whose calls do not
+grow with its grid."""
 
 import ast
 import importlib
@@ -95,3 +96,49 @@ def test_optional_parameters():
         "gammafn.is_nonpositive_integer.tol",
         "cli.main.argv",
     }
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each package function named "module.function",
+    wrapped at every module binding that holds it, as bench/tracing.py
+    wraps them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [
+        importlib.import_module(f"zetacasimir.{path.stem}") for path in PACKAGE.glob("*.py")
+    ]
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in names:
+        module, function = name.split(".")
+        original = getattr(importlib.import_module(f"zetacasimir.{module}"), function)
+        wrapped = counter(name, original)
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, wrapped)
+    return counts
+
+
+def test_profile_calls_do_not_grow_with_the_grid(monkeypatch, tmp_path, capsys):
+    # the grid is evaluated as arrays: the same calls for 10 points as for 1000
+    from zetacasimir import cli
+
+    names = ("hurwitz.hurwitz_zeta", "casimir.milton_B", "casimir.coefficient_B")
+    counts = _count_calls(monkeypatch, names)
+    per_grid = []
+    for n in (10, 1000):
+        before = dict(counts)
+        argv = [
+            "profile", "--n-points", str(n), "--x3-min=-0.45", "--x3-max", "1.45",
+            "--include-outside", "--output", str(tmp_path / "p.csv"),
+        ]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {n} rows")
+        per_grid.append({name: counts[name] - before[name] for name in names})
+    assert per_grid[0] == per_grid[1]
+    assert per_grid[0]["hurwitz.hurwitz_zeta"] > 0  # the wrapper is reached

@@ -348,6 +348,21 @@ class TestRoutes:
         regularized_coefficients(u, PlateConfig(a=1.3), EvalPoint(0.4))
         assert all(z != 1.0 for _, z in contour_calls)
 
+    # Li_{-5.3}(z) from mpmath 1.3.0 at 30 digits
+    @pytest.mark.parametrize(
+        "z,want",
+        [
+            (-0.99, -0.268285373482904514816047359675),
+            (-0.9, -0.287061078323315409201464498879),
+        ],
+    )
+    def test_negative_order_inside_the_disk_takes_the_contour(self, contour_calls, z, want):
+        # the series certifies its tail within its budget here, but its terms
+        # peak near n* = 5.3 / -log|z| far above |Li_s|, and that rounding
+        # has no bound (it put Li_{-5.3}(-0.99) at -0.386 - 1.090i)
+        assert abs(polylog(-5.3, z) - want) <= DEFAULT_TOL * (1.0 + abs(want))
+        assert contour_calls == [(-5.3, z)]
+
     @pytest.mark.parametrize("s", [2.0 + 1e-9, 2.0 - 1e-9])
     def test_non_integer_order_tries_the_contour_first(self, contour_calls, s):
         # the contour misses tol next to s = 2, and the series returns Li_s
